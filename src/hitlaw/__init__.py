@@ -16,10 +16,9 @@ from .circle import (BallTarget, CirclePoint, CircleRDS, annulus_mass_check,
                      aperiodicity_probe, circle_distance, hitting_time_ball,
                      quenched_law_statistic, random_orbit, required_bits)
 from .errors import PrecisionBudgetError, ResourceLimitError, UnsupportedConfigError
-from .fiber import (DensityRatio, FiberMeasure, Pattern, RandomShiftSpec,
-                    binary_symmetric_model, density_ratio,
-                    fiber_cylinder_measure, marginal_cylinder_measure,
-                    sample_fiber_prefix)
+from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
+                    density_ratio, fiber_cylinder_measure,
+                    marginal_cylinder_measure, sample_fiber_prefix)
 from .ledger import (EntropyEstimates, ErrorLedger, compute_ledger,
                      entrance_sum, estimate_entropies, gap_schedule, hits_sum,
                      verify_recursion_bound, verify_sandwich)

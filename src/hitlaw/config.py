@@ -47,7 +47,9 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        # the worker count changes how a run computes, never what it writes
+        science = {k: v for k, v in self.raw.items() if k != "threads"}
+        canon = json.dumps(science, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 

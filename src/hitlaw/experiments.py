@@ -29,7 +29,7 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (compute_ledger, estimate_entropies, gap_schedule,
                      verify_sandwich)
 from .stats import ks_to_exponential, trend_report
-from .survival import rescaled_survival
+from .survival import _rescaled_k, _windows_survival, rescaled_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -54,11 +54,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _workers(threads: int) -> int:
+    """Effective worker count: ``threads``, or the usable cores (CPU
+    affinity) when it is 0."""
+    return threads or len(os.sched_getaffinity(0))
+
+
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; thread count never changes the results, only
     how they are computed."""
-    if threads == 0:
-        threads = os.cpu_count() or 1
+    threads = _workers(threads)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
@@ -97,75 +102,81 @@ def _quenched_item(args):
     return ("ok", n, seed, rows, ks_to_exponential(curve).sup_abs_err)
 
 
+def _reduce_sweep(results, keys, stat: str):
+    """Rows and per-seed ``stat`` of the finished items grouped by sweep key,
+    in key order, with each key's median; and the truncation markers."""
+    rows, per_key, medians = {}, {}, []
+    for key in keys:
+        done = [out for out in results if out[0] == "ok" and out[1] == key]
+        rows[key] = [row for out in done for row in out[3]]
+        stats = {out[2]: out[4] for out in done}
+        medians.append(float(np.median(list(stats.values()))) if stats
+                       else float("nan"))
+        per_key[key] = {stat: stats, f"median_{stat}": medians[-1]}
+    truncated = sorted({out[1] for out in results if out[0] == "truncated"})
+    return rows, per_key, medians, truncated
+
+
 def run_quenched_shift(cfg: ExperimentConfig) -> RunResult:
     items = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
     results = _parallel_map(_quenched_item, items, cfg.threads)
-    artifacts: dict = {}
-    truncated: list = []
-    report: dict = {"per_n": {}}
-    medians = []
-    for n in cfg.n_grid:
-        rows = []
-        sups = {}
-        for out in results:
-            if out[0] == "truncated":
-                continue
-            _, rn, seed, item_rows, sup = out
-            if rn == n:
-                rows.extend(item_rows)
-                sups[seed] = sup
-        artifacts[f"survival_n{n}.csv"] = ("csv", SURVIVAL_COLUMNS, rows)
-        med = float(np.median(list(sups.values()))) if sups else float("nan")
-        medians.append(med)
-        report["per_n"][str(n)] = {"sup_abs_err": sups, "median_sup_abs_err": med}
-    truncated.extend(out[1] for out in results if out[0] == "truncated")
+    rows, per_n, medians, truncated = _reduce_sweep(results, cfg.n_grid,
+                                                    "sup_abs_err")
+    artifacts = {f"survival_n{n}.csv": ("csv", SURVIVAL_COLUMNS, rows[n])
+                 for n in cfg.n_grid}
+    report = {"per_n": {str(n): per_n[n] for n in cfg.n_grid}}
     if len(cfg.n_grid) >= 3:
         report["trend"] = trend_report(medians, xs=list(cfg.n_grid)).to_json_dict()
     artifacts["report.json"] = ("json", report)
-    return RunResult(artifacts=artifacts, truncated=sorted(set(truncated)))
+    return RunResult(artifacts=artifacts, truncated=truncated)
 
 
 # ----------------------------------------------------------------------
 # annealed_shift
 
 
-def _annealed_item(args):
-    cfg, n, widx = args
+def _annealed_chunk(args):
+    """Exact survival of one contiguous run of windows in one kernel call,
+    or the run's truncation markers.  Every chunk draws the same word, so
+    that the parent process never samples (nor imports numpy.random)."""
+    cfg, n, windows = args
     pat = _draw_pattern(cfg, cfg.seeds[0], n)
     mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
     k_max = math.floor(cfg.t_grid[-1] / mu_a)
     cap = _survival_step_cap(cfg, n)
     if k_max > cap:
-        return ("truncated",
-                f"annealed n={n} window={widx}: k={k_max} over step cap {cap}")
-    window = sample_window(cfg.base, [cfg.seeds[0], 0, widx], k_max + n + 1)
-    curve = rescaled_survival(cfg.fiber, cfg.base, window, pat, cfg.t_grid,
-                              step_cap=cap)
-    return ("ok", n, widx, curve.k_values, curve.values)
+        return ("truncated", [f"annealed n={n} window={widx}: k={k_max} over "
+                              f"step cap {cap}" for widx in windows])
+    ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, cap)
+    return ("ok", ks, _windows_survival(cfg.fiber, pat, (
+        sample_window(cfg.base, [cfg.seeds[0], 0, widx], k_max + n + 1)
+        for widx in windows), ks))
 
 
 def run_annealed_shift(cfg: ExperimentConfig) -> RunResult:
     artifacts: dict = {}
     truncated: list = []
     report: dict = {"per_n": {}}
+    # one contiguous chunk of windows per worker; the kernel's block mode
+    # keeps each window's values independent of the split
+    chunks = min(_workers(cfg.threads), cfg.trials)
+    bounds = [cfg.trials * i // chunks for i in range(chunks + 1)]
     for n in cfg.n_grid:
-        items = [(cfg, n, i) for i in range(cfg.trials)]
-        results = _parallel_map(_annealed_item, items, cfg.threads)
-        good = [out for out in results if out[0] == "ok"]
-        truncated.extend(out[1] for out in results if out[0] == "truncated")
-        if not good:
+        items = [(cfg, n, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        results = _parallel_map(_annealed_chunk, items, cfg.threads)
+        if results[0][0] == "truncated":
+            truncated.extend(m for out in results for m in out[1])
             artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, [])
             continue
-        values = np.stack([out[4] for out in good])
-        ks = good[0][3]
+        values = np.concatenate([out[2] for out in results])
         mean = values.mean(axis=0)
-        stderr = (values.std(axis=0, ddof=1) / math.sqrt(len(good))
-                  if len(good) > 1 else np.zeros(values.shape[1]))
+        stderr = (values.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+                  if cfg.trials > 1 else np.zeros(values.shape[1]))
         rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
-                for t, k, m, se in zip(cfg.t_grid, ks, mean, stderr)]
+                for t, k, m, se in zip(cfg.t_grid, results[0][1], mean, stderr)]
         artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, rows)
         sup = ks_to_exponential(mean, t_grid=np.asarray(cfg.t_grid)).sup_abs_err
-        report["per_n"][str(n)] = {"sup_abs_err": sup, "windows": len(good)}
+        report["per_n"][str(n)] = {"sup_abs_err": sup, "windows": cfg.trials}
     artifacts["report.json"] = ("json", report)
     return RunResult(artifacts=artifacts, truncated=sorted(set(truncated)))
 
@@ -274,36 +285,22 @@ def _circle_item(args):
 def run_circle_law(cfg: ExperimentConfig) -> RunResult:
     items = [(cfg, r, seed) for r in cfg.r_grid for seed in cfg.seeds]
     results = _parallel_map(_circle_item, items, cfg.threads)
-    rows = []
-    truncated = []
+    rows, per_r, medians, truncated = _reduce_sweep(results, cfg.r_grid, "delta_r")
     report: dict = {
         # standing model facts the run relies on but does not re-estimate
         "assumptions": "sample measures are Lebesgue for every noise sequence "
                        "(integer multipliers preserve Lebesgue); correlation "
                        "decay for Lipschitz observables is classical for "
                        "expanding maps and is not re-measured here",
-        "per_r": {},
+        "per_r": {repr(r): per_r[r] for r in cfg.r_grid},
     }
-    medians = []
-    for r in cfg.r_grid:
-        deltas = {}
-        for out in results:
-            if out[0] == "truncated":
-                continue
-            _, rr, seed, item_rows, delta = out
-            if rr == r:
-                rows.extend(item_rows)
-                deltas[seed] = delta
-        med = float(np.median(list(deltas.values()))) if deltas else float("nan")
-        medians.append(med)
-        report["per_r"][repr(r)] = {"delta_r": deltas, "median_delta_r": med}
-    truncated.extend(out[1] for out in results if out[0] == "truncated")
     if len(cfg.r_grid) >= 3:
         report["trend"] = trend_report(
             medians, xs=[-math.log10(r) for r in cfg.r_grid]).to_json_dict()
-    artifacts = {"circle.csv": ("csv", CIRCLE_COLUMNS, rows),
+    artifacts = {"circle.csv": ("csv", CIRCLE_COLUMNS,
+                                [row for r in cfg.r_grid for row in rows[r]]),
                  "report.json": ("json", report)}
-    return RunResult(artifacts=artifacts, truncated=sorted(set(truncated)))
+    return RunResult(artifacts=artifacts, truncated=truncated)
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +370,7 @@ def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> d
         "code_version": __version__,
         "files": checksums,
         "truncated": result.truncated,
+        "workers": _workers(cfg.threads),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -22,35 +22,6 @@ _ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RandomShiftSpec:
-    """Shape of the random fiber shift: alphabet size plus, optionally, a
-    family of 0/1 transition matrices keyed by base symbol.
-
-    The default (no matrices) is the full shift, the only case for which
-    sample measures are constructed here; explicit matrix families are
-    carried as validated data for configuration round-trips.
-    """
-
-    fiber_alphabet_size: int
-    transition_matrix_family: dict | None = None
-
-    def __post_init__(self):
-        if self.fiber_alphabet_size < 2:
-            raise ValueError("fiber alphabet size must be >= 2")
-        fam = self.transition_matrix_family
-        if fam is None:
-            return
-        for key, mat in fam.items():
-            a = np.asarray(mat)
-            if a.ndim != 2 or not np.all((a == 0) | (a == 1)):
-                raise ValueError(f"transition matrix for symbol {key} must be 0/1")
-            if np.any(a.sum(axis=1) == 0) or np.any(a.sum(axis=0) == 0):
-                raise ValueError(
-                    f"transition matrix for symbol {key} needs a non-zero entry "
-                    "in each row and each column")
-
-
-@dataclass(frozen=True)
 class FiberMeasure:
     """Row-stochastic matrix W: row = base symbol, column = fiber symbol.
 

@@ -26,10 +26,13 @@ from .errors import ResourceLimitError
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
-from .survival import (_scan_hitting, build_automaton, full_step_matrices,
-                       masked_arrival_matrices, masked_step_matrices)
+from .survival import (_lockstep, _scan_hitting, build_automaton,
+                       full_step_matrices, masked_arrival_matrices,
+                       masked_step_matrices)
 
 _TOL = 1e-12
+# Reads per per-read kernel call: bounds the (reads, columns) mass slabs.
+_SLAB = 64
 
 
 @dataclass(frozen=True)
@@ -69,32 +72,13 @@ class ErrorLedger:
             raise ValueError("delta_sum exceeds G + H + K")
 
 
-class _BatchRecursion:
-    """State distributions of many automaton recursions advanced in lockstep.
-
-    Column c's r-th read consumes ``symbols[starts[c] + r - 1]``; columns
-    sharing a base symbol share a matrix multiply.
-    """
-
-    def __init__(self, symbols: np.ndarray, starts: np.ndarray, v0: np.ndarray,
-                 n_symbols: int):
-        self.symbols = symbols
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.V = np.tile(np.asarray(v0, dtype=float).reshape(-1, 1),
-                         (1, self.starts.size))
-        self.r = 0
-        self._alphabet = range(n_symbols)
-
-    def step(self, mats: np.ndarray) -> None:
-        sym = self.symbols[self.starts + self.r]
-        for a in self._alphabet:
-            cols = sym == a
-            if cols.any():
-                self.V[:, cols] = mats[a] @ self.V[:, cols]
-        self.r += 1
-
-    def masses(self) -> np.ndarray:
-        return self.V.sum(axis=0)
+def _column_symbols(symbols: np.ndarray, first: int, columns: int,
+                    reads: int) -> np.ndarray:
+    """Noise of ``columns`` recursions started one coordinate apart, as a
+    (columns, reads) view: column c's r-th read consumes
+    ``symbols[first + c + r - 1]``."""
+    return np.lib.stride_tricks.sliding_window_view(
+        symbols[first:first + columns + reads - 1], reads)
 
 
 def _sliding_cylinder_measures(fm: FiberMeasure, symbols: np.ndarray,
@@ -107,10 +91,11 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
                  jmax: int, g: int | None):
     """Batched exact evaluation of the per-offset discrepancies.
 
-    Returns (mu, delta, survival_from_0_at_k) and, when a gap g is given,
-    also (conditional mass at g, survival at g, mixing sup) per offset.
+    Returns (mu, delta, both sides of the recursion bound, the one-miss
+    product) and, when a gap g is given, also (conditional mass at g,
+    survival at g, mixing sup) per offset.
     """
-    n, s = pat.n, fm.base_alphabet_size
+    n = pat.n
     gap = g or 0
     need = k + gap + jmax + n
     if need > len(window):
@@ -124,50 +109,52 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
 
     # survival recursions for offsets 0..k+gap; offset i's first read is
     # coordinate i+1, and its j-th survival value lands after j+n-1 reads
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    s_offsets = np.arange(0, k + gap + 1, dtype=np.int64)
-    s_rec = _BatchRecursion(symbols, s_offsets + 1, e0, s)
-    for _ in range(n - 1):
-        s_rec.step(masked)
+    s_sym = _column_symbols(symbols, 1, k + gap + 1, n - 1 + jmax)
+    s_V = np.tile(np.eye(n)[0], (k + gap + 1, 1))
+    _lockstep(masked, s_sym[:, :n - 1], s_V, [])
 
     # conditional (return) recursions for offsets 1..k, starting from the
     # word's border state, first read at coordinate i+n
-    eb = np.zeros(n)
-    eb[aut.border] = 1.0
-    c_rec = _BatchRecursion(symbols, offsets + n, eb, s)
+    c_sym = _column_symbols(symbols, n + 1, k, jmax)
+    c_V = np.tile(np.eye(n)[aut.border], (k, 1))
 
     if g is not None:
         # delayed-mask recursions: all n+1 states, unmasked over the gap,
         # then arrivals into the accepting state die
-        full = full_step_matrices(fm, aut)
         arr_masked = masked_arrival_matrices(fm, aut)
-        ef = np.zeros(n + 1)
-        ef[n] = 1.0
-        h_rec = _BatchRecursion(symbols, offsets + n, ef, s)
-        for _ in range(g):
-            h_rec.step(full)
+        h_sym = _column_symbols(symbols, n + 1, k, g + jmax)
+        h_V = np.tile(np.eye(n + 1)[n], (k, 1))
+        _lockstep(full_step_matrices(fm, aut), h_sym[:, :g], h_V, [])
 
     d_sup = np.zeros(k)
     h_sup = np.zeros(k) if g is not None else None
     c_at_g = s_at_g = None
     s0_at_k = None
-    for j in range(1, jmax + 1):
-        s_rec.step(masked)
-        c_rec.step(masked)
-        s_mass = s_rec.masses()
-        np.maximum(d_sup, np.abs(s_mass[1:k + 1] - c_rec.masses()), out=d_sup)
+    # masses at every j, a slab of _SLAB reads at a time
+    for j0 in range(0, jmax, _SLAB):
+        j1 = min(j0 + _SLAB, jmax)
+        s_mass = _lockstep(masked, s_sym[:, n - 1 + j0:n - 1 + j1], s_V)
+        c_mass = _lockstep(masked, c_sym[:, j0:j1], c_V)
+        np.maximum(d_sup, np.abs(s_mass[:, 1:k + 1] - c_mass).max(axis=0),
+                   out=d_sup)
         if g is not None:
-            h_rec.step(arr_masked)
-            np.maximum(h_sup, np.abs(h_rec.masses() - s_mass[1 + g:k + g + 1]),
+            h_mass = _lockstep(arr_masked, h_sym[:, g + j0:g + j1], h_V)
+            np.maximum(h_sup,
+                       np.abs(h_mass - s_mass[:, 1 + g:k + g + 1]).max(axis=0),
                        out=h_sup)
-            if j == g:
-                c_at_g = c_rec.masses().copy()
-                s_at_g = s_mass[1:k + 1].copy()
-        if j == k:
-            s0_at_k = float(s_mass[0])
+            if j0 < g <= j1:
+                c_at_g = c_mass[g - j0 - 1]
+                s_at_g = s_mass[g - j0 - 1, 1:k + 1]
+        if j0 < k <= j1:
+            s0_at_k = float(s_mass[k - j0 - 1, 0])
     assert s0_at_k is not None   # callers validate jmax >= k >= 1
-    return mu, d_sup * mu, s0_at_k, c_at_g, s_at_g, h_sup
+    # both sides of the recursion bound, against the one-miss product
+    delta = d_sup * mu
+    one_minus = 1.0 - mu
+    prod_term = float(np.prod(one_minus))
+    prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
+    lemma = (abs(s0_at_k - prod_term), math.fsum(delta * prefix))
+    return mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup
 
 
 def _check_budget(k: int, pat: Pattern, op_budget: int | None) -> None:
@@ -206,13 +193,10 @@ def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     offsets = np.arange(1, k + 1, dtype=np.int64)
     mu = _sliding_cylinder_measures(fm, symbols, pat, offsets)
     aut = build_automaton(pat)
-    masked = masked_step_matrices(fm, aut)
-    eb = np.zeros(n)
-    eb[aut.border] = 1.0
-    rec = _BatchRecursion(symbols, offsets + n, eb, fm.base_alphabet_size)
-    for _ in range(g):
-        rec.step(masked)
-    return math.fsum(mu * (1.0 - rec.masses()))
+    masses = _lockstep(masked_step_matrices(fm, aut),
+                       _column_symbols(symbols, n + 1, k, g),
+                       np.tile(np.eye(n)[aut.border], (k, 1)), [g])
+    return math.fsum(mu * (1.0 - masses[0]))
 
 
 def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
@@ -238,13 +222,8 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
         raise ValueError("jmax must cover both k and g")
     _check_budget(k, pat, op_budget)
 
-    mu, delta, s0_at_k, c_at_g, s_at_g, h_sup = _delta_terms(
+    mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup = _delta_terms(
         fm, window, pat, k, jmax, g)
-
-    one_minus = 1.0 - mu
-    prod_term = float(np.prod(one_minus))
-    prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
-
     m_sum = math.fsum(mu)
     ledger = ErrorLedger(
         n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
@@ -253,8 +232,8 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
         H=math.fsum(mu * h_sup),
         K=math.fsum(mu * (1.0 - s_at_g)),
         delta_sum=math.fsum(delta),
-        lemma_lhs=abs(s0_at_k - prod_term),
-        lemma_rhs=math.fsum(delta * prefix),
+        lemma_lhs=lemma[0],
+        lemma_rhs=lemma[1],
         sandwich_gap=abs(prod_term - math.exp(-m_sum)),
     )
     return ledger
@@ -283,12 +262,7 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
         raise ValueError("jmax must be >= k")
     _check_budget(k, pat, op_budget)
 
-    mu, delta, s0_at_k, _, _, _ = _delta_terms(fm, window, pat, k, jmax, None)
-    one_minus = 1.0 - mu
-    prod_term = float(np.prod(one_minus))
-    prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
-    lhs = abs(s0_at_k - prod_term)
-    rhs = math.fsum(delta * prefix)
+    (lhs, rhs) = _delta_terms(fm, window, pat, k, jmax, None)[2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

@@ -100,23 +100,84 @@ def masked_arrival_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarr
     return mats
 
 
-def _run_masses(mats: np.ndarray, symbols: np.ndarray, v0: np.ndarray,
-                record_reads: np.ndarray) -> np.ndarray:
-    """Run the recursion over ``symbols`` and record the total surviving
-    mass after the read counts listed in ``record_reads`` (sorted, may
-    include 0 for the initial mass)."""
-    out = np.empty(len(record_reads))
-    ptr = 0
-    v = v0.astype(float).copy()
-    while ptr < len(record_reads) and record_reads[ptr] == 0:
-        out[ptr] = v.sum()
-        ptr += 1
-    for r in range(1, len(symbols) + 1):
-        v = mats[symbols[r - 1]] @ v
-        while ptr < len(record_reads) and record_reads[ptr] == r:
-            out[ptr] = v.sum()
-            ptr += 1
+# Block jumps use the cached products of all s**L blocks of L reads, with L
+# the largest length such that s**L <= _BLOCK_CODES (a block code fits a
+# uint8); runs shorter than 4 * s**L reads step one read at a time.
+_BLOCK_CODES = 256
+
+
+def _block_length(s: int, reads: int) -> int:
+    length = 1
+    while s ** (length + 1) <= _BLOCK_CODES:
+        length += 1
+    return length if reads >= 4 * s ** length else 1
+
+
+def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
+              block: int | None = None) -> np.ndarray:
+    """Advance a (columns, states) block ``V`` of automaton distributions in
+    place, in lockstep over every read of ``sym`` (columns, reads): read r
+    of column c applies ``mats[sym[c, r-1]]``.  Returns column masses, one
+    row per record.
+
+    Per-read mode (``record=None``) records after every read; each read is
+    one stacked (s*states, states) product and a per-column select.
+    Otherwise ``record`` holds nondecreasing read counts in 0..reads, and
+    while no record falls inside the next L reads the block jumps L reads
+    at once (``block`` overrides L).  Block mode does one matrix-vector
+    product per column, so a column's values do not depend on which other
+    columns share the call; per-read mode makes no such promise.
+    """
+    columns, reads = sym.shape
+    s, states = mats.shape[0], mats.shape[1]
+    if record is None:
+        stacked = mats.reshape(s * states, states).T
+        first_row = np.arange(columns) * s   # row of column c's symbol 0
+        ones = np.ones(states)
+        out = np.empty((reads, columns))
+        v = V
+        for r in range(reads):
+            v = (v @ stacked).reshape(columns * s, states).take(
+                first_row + sym[:, r], axis=0)
+            out[r] = v @ ones
+        V[...] = v
+        return out
+    length = block or _block_length(s, reads)
+    prods = mats
+    for _ in range(length - 1):   # code c*s + a: block c, then symbol a
+        prods = (mats[np.newaxis] @ prods[:, np.newaxis]).reshape(-1, states, states)
+    weights = s ** np.arange(length - 1, -1, -1)
+    v = V[:, :, np.newaxis]
+    out = np.empty((len(record), columns))
+    r = 0
+    for i, stop in enumerate([*record, reads]):
+        jumps = (stop - r) // length
+        span = sym[:, r:r + jumps * length].reshape(columns, jumps, length)
+        for codes in (span @ weights).T:
+            v = np.matmul(prods[codes], v)
+        for syms in sym[:, r + jumps * length:stop].T:
+            v = np.matmul(mats[syms], v)
+        r = stop
+        if i < len(record):
+            out[i] = v[:, :, 0].sum(axis=1)
+    V[...] = v[:, :, 0]
     return out
+
+
+def _windows_survival(fm: FiberMeasure, pat: Pattern, windows,
+                      k_grid: np.ndarray) -> np.ndarray:
+    """Exact P(no occurrence starts at coordinates 1..k) at each k of the
+    nondecreasing ``k_grid``, for every window of an iterable at once; each
+    window is kept only as compact symbol codes once drawn.  Shape
+    (windows, k_grid size)."""
+    n = pat.n
+    # survival at k is decided after reading coordinates 1 .. k+n-1
+    record = np.where(k_grid == 0, 0, k_grid + n - 1)
+    codes = np.min_scalar_type(fm.base_alphabet_size - 1)
+    rows = np.stack([w.prefix(int(record[-1]) + 1)[1:].astype(codes)
+                     for w in windows])
+    return _lockstep(masked_step_matrices(fm, build_automaton(pat)), rows,
+                     np.tile(np.eye(n)[0], (rows.shape[0], 1)), record).T
 
 
 @dataclass(frozen=True)
@@ -180,18 +241,10 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
         raise ValueError("offset and k_max must be >= 0")
     n = pat.n
     need = offset + k_max + n
-    if k_max > 0 and need > len(window):
+    if need > len(window):
         raise ValueError(f"window covers {len(window)} symbols; need {need}")
     grid = _normalize_k_grid(k_max, k_grid)
-    aut = build_automaton(pat)
-    mats = masked_step_matrices(fm, aut)
-    v0 = np.zeros(n)
-    v0[0] = 1.0
-    # survival at k is decided after reading coordinates 1 .. k+n-1
-    record = np.where(grid == 0, 0, grid + n - 1)
-    n_reads = int(record[-1])
-    symbols = window.prefix(offset + n_reads + 1)[offset + 1:] if n_reads else np.empty(0, np.int64)
-    values = _run_masses(mats, symbols, v0, record)
+    values = _windows_survival(fm, pat, [window.shifted(offset)], grid)[0]
     meta = CurveMeta(pattern=str(pat), window=window.label, offset=offset)
     return SurvivalCurve(k_grid=grid, values=values, meta=meta)
 
@@ -217,11 +270,9 @@ def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Patte
     grid = _normalize_k_grid(k_max, k_grid)
     weight = fiber_cylinder_measure(fm, window, pat, offset)
     aut = build_automaton(pat)
-    mats = masked_step_matrices(fm, aut)
-    v0 = np.zeros(n)
-    v0[aut.border] = 1.0
     symbols = window.prefix(offset + n + int(grid[-1]))[offset + n:]
-    values = weight * _run_masses(mats, symbols, v0, grid.astype(np.int64))
+    values = weight * _lockstep(masked_step_matrices(fm, aut), symbols[np.newaxis],
+                                np.eye(n)[[aut.border]], grid)[:, 0]
     meta = CurveMeta(pattern=str(pat), window=window.label, offset=offset)
     return SurvivalCurve(k_grid=grid, values=values, meta=meta)
 
@@ -250,22 +301,27 @@ class RescaledCurve:
         return self.values
 
 
-def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
-                      pat: Pattern, t_grid, step_cap: int = 10**7) -> RescaledCurve:
-    """Exact survival at k(t) = floor(t / mu(A)) for each t, where mu(A) is
-    the noise-averaged cylinder measure; the value at t = 0 is 1."""
-    t = _check_t_grid(t_grid)
-    mu_a = marginal_cylinder_measure(fm, proc, pat)
+def _rescaled_k(t: np.ndarray, mu_a: float, step_cap: int) -> np.ndarray:
+    """k(t) = floor(t / mu(A)) for each t, refused over the step cap."""
     ks = np.array([math.floor(ti / mu_a) for ti in t], dtype=np.int64)
     if ks[-1] > step_cap:
         offending = float(t[int(np.argmax(ks > step_cap))])
         raise ResourceLimitError(
             f"rescaled survival needs k={int(ks.max())} steps at t={offending}, "
             f"over the step cap {step_cap}")
-    uniq = np.unique(ks)
-    curve = quenched_survival(fm, window, pat, offset=0, k_max=int(uniq[-1]),
-                              k_grid=uniq)
-    values = curve.values[np.searchsorted(uniq, ks)]
+    return ks
+
+
+def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
+                      pat: Pattern, t_grid, step_cap: int = 10**7) -> RescaledCurve:
+    """Exact survival at k(t) = floor(t / mu(A)) for each t, where mu(A) is
+    the noise-averaged cylinder measure; the value at t = 0 is 1."""
+    t = _check_t_grid(t_grid)
+    mu_a = marginal_cylinder_measure(fm, proc, pat)
+    ks = _rescaled_k(t, mu_a, step_cap)
+    curve = quenched_survival(fm, window, pat, k_max=int(ks[-1]),
+                              k_grid=np.unique(ks))
+    values = curve.values[np.searchsorted(curve.k_grid, ks)]
     return RescaledCurve(t_grid=t, k_values=ks, values=values, mu_a=mu_a,
                          meta=curve.meta)
 
@@ -348,18 +404,13 @@ def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
         raise ValueError("n_windows must be >= 1")
     t = _check_t_grid(t_grid)
     mu_a = marginal_cylinder_measure(fm, proc, pat)
-    k_max = math.floor(float(t[-1]) / mu_a)
-    length = k_max + pat.n + 1
-    rows = np.empty((n_windows, t.size))
-    ks = None
-    for i in range(n_windows):
-        window = sample_window(proc, [seed, i], length)
-        curve = rescaled_survival(fm, proc, window, pat, t, step_cap=step_cap)
-        rows[i] = curve.values
-        ks = curve.k_values
-    mean = rows.mean(axis=0)
+    ks = _rescaled_k(t, mu_a, step_cap)
+    length = int(ks[-1]) + pat.n + 1
+    values = _windows_survival(fm, pat, (sample_window(proc, [seed, i], length)
+                                         for i in range(n_windows)), ks)
+    mean = values.mean(axis=0)
     if n_windows > 1:
-        stderr = rows.std(axis=0, ddof=1) / math.sqrt(n_windows)
+        stderr = values.std(axis=0, ddof=1) / math.sqrt(n_windows)
     else:
         stderr = np.zeros(t.size)
     return AnnealedCurve(t_grid=t, k_values=ks, mean=mean, stderr=stderr,

@@ -203,3 +203,46 @@ def test_shipped_configs_validate():
         with open(os.path.join(cfg_dir, name)) as fh:
             tree = yaml.safe_load(fh)
         assert validate(tree) == [], name
+
+
+def test_annealed_and_ledger_byte_identical_across_worker_counts(tmp_path):
+    # 7 windows split into 1, 2 and 3 chunks; n=8 runs long enough for
+    # the kernel's block jumps
+    annealed = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=7,
+                          sweep={"n": [4, 8],
+                                 "t": {"start": 0.0, "stop": 5.0, "step": 0.5}})
+    ledger = _tiny_tree(experiment="ledger", seeds=[1, 2, 3],
+                        sweep={"n": [2, 4], "t": [0.5, 1.0]})
+    for label, tree in (("annealed", annealed), ("ledger", ledger)):
+        outs = []
+        for threads in (1, 2, 3):
+            out_dir = tmp_path / f"{label}{threads}"
+            run_experiment(build_config(dict(tree, threads=threads)), str(out_dir))
+            outs.append({f: (out_dir / f).read_bytes()
+                         for f in os.listdir(out_dir) if f != "manifest.json"})
+        assert outs[0] == outs[1] == outs[2], label
+
+
+def test_threads_zero_follows_cpu_affinity(tmp_path, monkeypatch):
+    from hitlaw import experiments
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert experiments._workers(0) == 3
+    assert experiments._workers(2) == 2
+    seen = []
+
+    def fake_map(fn, items, threads):
+        seen.append((len(items), experiments._workers(threads)))
+        return [fn(item) for item in items]
+    monkeypatch.setattr(experiments, "_parallel_map", fake_map)
+    tree = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=7,
+                      threads=0, sweep={"n": [3], "t": [0.0, 1.0]})
+    manifest = run_experiment(build_config(tree), str(tmp_path / "a"))
+    assert seen == [(3, 3)]   # one chunk of windows per usable core
+    assert manifest["workers"] == 3
+
+
+def test_config_hash_ignores_worker_count():
+    one = build_config(_tiny_tree(threads=1))
+    three = build_config(_tiny_tree(threads=3))
+    assert one.config_hash() == three.config_hash()
+    assert build_config(_tiny_tree(seeds=[1, 3])).config_hash() != one.config_hash()

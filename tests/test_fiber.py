@@ -6,10 +6,9 @@ import pytest
 
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.errors import UnsupportedConfigError
-from hitlaw.fiber import (FiberMeasure, Pattern, RandomShiftSpec,
-                          binary_symmetric_model, density_ratio,
-                          fiber_cylinder_measure, marginal_cylinder_measure,
-                          sample_fiber_prefix)
+from hitlaw.fiber import (FiberMeasure, Pattern, binary_symmetric_model,
+                          density_ratio, fiber_cylinder_measure,
+                          marginal_cylinder_measure, sample_fiber_prefix)
 
 from conftest import random_base, random_fiber_measure
 
@@ -22,17 +21,6 @@ def test_fiber_measure_validation():
     fm = FiberMeasure([[0.3, 0.7], [0.7, 0.3]])
     assert fm.q_max == 0.7
     assert fm.h0 == pytest.approx(-math.log(0.7))
-
-
-def test_random_shift_spec_validation():
-    RandomShiftSpec(2)
-    RandomShiftSpec(2, {0: [[1, 1], [1, 0]]})
-    with pytest.raises(ValueError):
-        RandomShiftSpec(1)
-    with pytest.raises(ValueError):
-        RandomShiftSpec(2, {0: [[0, 0], [1, 1]]})   # empty row
-    with pytest.raises(ValueError):
-        RandomShiftSpec(2, {0: [[1, 0], [1, 0]]})   # empty column
 
 
 def test_pattern_validation():

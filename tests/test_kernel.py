@@ -1,0 +1,105 @@
+"""The lockstep recursion kernel against the enumeration oracle, and its
+two modes (block jumps, per-read steps) against each other."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_enum
+from conftest import random_fiber_measure
+
+from hitlaw.base_process import make_rng
+from hitlaw.fiber import Pattern
+from hitlaw.survival import (_lockstep, build_automaton,
+                             masked_arrival_matrices, masked_step_matrices)
+
+
+@st.composite
+def _case(draw):
+    """A random model, word, column count, forced block length and k grid
+    (small enough to enumerate); records fall on and off block
+    boundaries."""
+    s = draw(st.integers(2, 4))
+    b = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    k_max = draw(st.integers(1, 9 - n))
+    grid = draw(st.lists(st.integers(0, k_max), min_size=1, max_size=k_max + 1,
+                         unique=True).map(sorted))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    fm = random_fiber_measure(rng, s, b)
+    pat = Pattern(tuple(int(x) for x in rng.integers(0, b, size=n)), b)
+    columns = draw(st.integers(1, 4))
+    rows = rng.integers(0, s, size=(columns, k_max + n))
+    return fm, pat, rows, np.asarray(grid), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_case())
+def test_quenched_start_matches_enumeration(case):
+    fm, pat, rows, grid, block = case
+    n = pat.n
+    V = np.zeros((rows.shape[0], n))
+    V[:, 0] = 1.0
+    record = np.where(grid == 0, 0, grid + n - 1)
+    got = _lockstep(masked_step_matrices(fm, build_automaton(pat)),
+                    rows[:, 1:int(record[-1]) + 1], V, record, block=block)
+    for c, syms in enumerate(rows):
+        want = oracle_enum.enum_quenched_survival(fm.W, syms, pat.symbols, 0,
+                                                  int(grid[-1]))
+        assert np.max(np.abs(got[:, c] - want[grid])) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_case())
+def test_conditional_start_matches_enumeration(case):
+    fm, pat, rows, grid, block = case
+    n = pat.n
+    aut = build_automaton(pat)
+    V = np.zeros((rows.shape[0], n))
+    V[:, aut.border] = 1.0
+    got = _lockstep(masked_step_matrices(fm, aut), rows[:, n:n + int(grid[-1])],
+                    V, grid, block=block)
+    for c, syms in enumerate(rows):
+        weight = np.prod(fm.W[syms[:n], list(pat.symbols)])
+        want = oracle_enum.enum_conditional_survival(fm.W, syms, pat.symbols, 0,
+                                                     int(grid[-1]))
+        assert np.max(np.abs(weight * got[:, c] - want[grid])) < 1e-12
+
+
+@pytest.mark.parametrize("columns", [1, 50])
+def test_block_and_per_read_modes_agree(columns):
+    rng = make_rng(11)
+    fm = random_fiber_measure(rng, 2, 2)
+    pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=12)), 2)
+    mats = masked_arrival_matrices(fm, build_automaton(pat))
+    reads = 20_000
+    sym = rng.integers(0, 2, size=(columns, reads)).astype(np.uint8)
+    v0 = rng.random((columns, pat.n + 1))
+    v0 /= v0.sum(axis=1, keepdims=True)
+    record = np.array([0, 1, 7, 8, 9, 1023, 1024, 5001, 12_345, 19_999, reads])
+    block_V, read_V = v0.copy(), v0.copy()
+    blocked = _lockstep(mats, sym, block_V, record)
+    per_read = _lockstep(mats, sym, read_V)
+    assert blocked[0] == pytest.approx(v0.sum(axis=1), abs=1e-15)
+    assert np.max(np.abs(blocked[1:] - per_read[record[1:] - 1])) < 1e-13
+    assert np.max(np.abs(block_V - read_V)) < 1e-13
+    assert per_read[-1].min() < 0.5   # the run is long enough to matter
+
+
+def test_block_mode_columns_do_not_depend_on_companions():
+    rng = make_rng(12)
+    fm = random_fiber_measure(rng, 3, 2)
+    pat = Pattern((0, 1, 1, 0, 1), 2)
+    mats = masked_step_matrices(fm, build_automaton(pat))
+    sym = rng.integers(0, 3, size=(7, 2_000)).astype(np.uint8)
+    record = np.array([0, 3, 500, 1_001, 1_999])
+    batch = np.zeros((7, pat.n))
+    batch[:, 0] = 1.0
+    together = _lockstep(mats, sym, batch, record)
+    for c in range(7):
+        alone = np.zeros((1, pat.n))
+        alone[0, 0] = 1.0
+        assert np.array_equal(_lockstep(mats, sym[c:c + 1], alone, record)[:, 0],
+                              together[:, c])
+        assert np.array_equal(alone[0], batch[c])
