@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 from .base_process import (BaseProcess, BaseWindow, base_cylinder_prob,
                            make_rng, psi_mixing_coefficient, sample_window)
-from .circle import (BallTarget, CirclePoint, CircleRDS, annulus_mass_check,
-                     aperiodicity_probe, circle_distance, hitting_time_ball,
-                     quenched_law_statistic, random_orbit, required_bits)
+from .circle import (BallTarget, CirclePoint, CircleRDS, aperiodicity_probe,
+                     circle_distance, hitting_time_ball, quenched_law_statistic,
+                     random_orbit, required_bits)
 from .errors import PrecisionBudgetError, ResourceLimitError, UnsupportedConfigError
 from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
                     density_ratio, fiber_cylinder_measure,

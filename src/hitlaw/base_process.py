@@ -84,7 +84,7 @@ class BaseProcess:
             if not np.all((q > 0.0) & (q < 1.0)):
                 raise ValueError("transition entries must lie strictly inside (0, 1)")
             if np.max(np.abs(q.sum(axis=1) - 1.0)) > _STOCHASTIC_ATOL:
-                raise ValueError("transition rows must sum to 1 within 1e-12")
+                raise ValueError("transition rows not stochastic (within 1e-12)")
             pi = (
                 stationary_distribution(q)
                 if self.stationary is None

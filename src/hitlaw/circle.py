@@ -18,6 +18,7 @@ never loses information.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,9 @@ from .base_process import BaseProcess, BaseWindow, make_rng
 from .errors import PrecisionBudgetError
 
 _GUARD_BITS = 64
+
+# Fewest start points quenched_law_statistic accepts for one survival curve.
+MIN_LAW_TRIALS = 100
 
 
 def required_bits(steps: int, max_multiplier: int) -> int:
@@ -93,10 +97,11 @@ class CircleRDS:
     base: BaseProcess = None
 
     def __post_init__(self):
-        ms = tuple(int(m) for m in self.multipliers)
-        if len(ms) != 2 or any(m < 2 for m in ms):
+        ms = tuple(self.multipliers)
+        if len(ms) != 2 or not all(isinstance(m, numbers.Integral) and m >= 2
+                                   for m in ms):
             raise ValueError("multipliers must be two integers >= 2")
-        object.__setattr__(self, "multipliers", ms)
+        object.__setattr__(self, "multipliers", tuple(map(int, ms)))
         base = self.base if self.base is not None else BaseProcess.bernoulli([0.5, 0.5])
         if base.alphabet_size != 2:
             raise ValueError("circle driving process must have alphabet {0, 1}")
@@ -270,8 +275,8 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     beyond floor(t / (2r)).  If a cap below the largest grid point is
     forced, censored scans count as surviving and the result is flagged.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    if trials < MIN_LAW_TRIALS:
+        raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValueError("t grid must be increasing and nonnegative")
@@ -305,15 +310,6 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
                            delta_r=delta_r, trials=trials, censored_count=censored,
                            widened_uncertainty=widened)
-
-
-def annulus_mass_check(y: float, r: float, rho: float) -> bool:
-    """Check that growing a ball by rho adds at most rho/r mass: for circle
-    Lebesgue this is 2(r+rho) <= 2r + rho/r, true whenever r < 1/2."""
-    if not 0.0 < rho < r < 0.5:
-        raise ValueError("need 0 < rho < r < 1/2")
-    grown = min(2.0 * (r + rho), 1.0)
-    return grown <= min(2.0 * r, 1.0) + rho / r + 1e-15
 
 
 def aperiodicity_probe(rds: CircleRDS, bits, trials: int, horizon: int, seed,

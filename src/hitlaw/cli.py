@@ -12,7 +12,7 @@ import json
 import sys
 import traceback
 
-from .config import EXPERIMENT_KINDS, build_config, load_tree, validate
+from .config import EXPERIMENT_KINDS, _parse, load_tree
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -51,23 +51,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        problems = validate(tree)
-        print(json.dumps({"errors": problems}, indent=2))
-        return 1 if problems else 0
-
-    # run
-    if args.seed is not None:
+    if args.command == "run" and args.seed is not None:
         tree = dict(tree, seeds=[args.seed])
-    if args.threads is not None:
+    if args.command == "run" and args.threads is not None:
         tree = dict(tree, threads=args.threads)
-    problems = validate(tree)
-    if problems:
-        print(json.dumps({"errors": problems}, indent=2), file=sys.stderr)
-        return 1
+    cfg, problems = _parse(tree)
+    if args.command == "validate" or problems:
+        print(json.dumps({"errors": problems}, indent=2),
+              file=sys.stderr if args.command == "run" else sys.stdout)
+        return 1 if problems else 0
     try:
         from .experiments import run_experiment
-        cfg = build_config(tree)
         out_dir = args.out or cfg.output_dir or "out"
         manifest = run_experiment(cfg, out_dir)
     except Exception:

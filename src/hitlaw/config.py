@@ -1,10 +1,14 @@
 """Experiment configuration: one human-editable key/value tree per run.
 
-Files are YAML (JSON works too, being a YAML subset).  ``validate`` returns
-a list of violation strings rather than raising, so the CLI can report all
-problems at once; ``build_config`` turns a clean tree into typed model
-objects.  Seeds are always explicit in the file: runs never pull ambient
-entropy.
+Files are YAML (JSON works too, being a YAML subset).  One pass reads a
+tree: it checks the shape of each key and builds the model objects a run
+uses (``BaseProcess``, ``FiberMeasure``, ``CircleRDS``, ``BallTarget``),
+turning each constructor's error into a violation string that names the
+key.  A model rule therefore lives only in its constructor, or in the
+module that enforces it at run time.  ``validate`` returns the pass's
+violations, all at once and without raising, so the CLI can report every
+problem; ``build_config`` returns its typed config, or raises with them.
+Seeds are always explicit in the file: runs never pull ambient entropy.
 """
 
 from __future__ import annotations
@@ -12,20 +16,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .base_process import BaseProcess
-from .circle import required_bits
-from .fiber import FiberMeasure
+from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS, required_bits
+from .fiber import FiberMeasure, _check_base_alphabet, _is_binary_symmetric
 
 EXPERIMENT_KINDS = ("quenched_shift", "annealed_shift", "ledger", "entropy",
                     "circle_law", "singularity")
 
 _SHIFT_KINDS = ("quenched_shift", "annealed_shift", "ledger", "entropy",
                 "singularity")
+
+# Most points a {start, stop, step} grid may expand to.
+_MAX_GRID = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,6 @@ class ExperimentConfig:
     t_grid: tuple
     r_grid: tuple
     multipliers: tuple
-    precision_bits: int | None
     jmax_factor: int
     raw: dict = field(repr=False)
 
@@ -61,162 +67,159 @@ def load_tree(path: str) -> dict:
     return tree
 
 
-def _expand_t_grid(spec) -> list:
-    if isinstance(spec, dict):
-        start, stop, step = spec.get("start", 0.0), spec.get("stop"), spec.get("step")
-        if stop is None or step is None or step <= 0:
-            return []
-        count = int(round((stop - start) / step))
-        return [start + i * step for i in range(count + 1)]
-    if isinstance(spec, (list, tuple)):
-        return [float(t) for t in spec]
-    return []
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_matrix(mat, what: str, violations: list) -> None:
+def _real(x) -> float | None:
+    """``x`` as a float when it is a finite number, else None."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and abs(x) <= sys.float_info.max:
+        return float(x)
+    return None
+
+
+def _expand_t_grid(spec):
+    """A ``sweep.t`` list as is, or {start, stop, step} spelled out."""
+    if not isinstance(spec, dict):
+        return spec
+    start, stop, step = (_real(spec.get("start", 0.0)), _real(spec.get("stop")),
+                         _real(spec.get("step")))
+    if None in (start, stop, step) or step <= 0 or \
+            not (stop - start) / step < _MAX_GRID:
+        return None
+    return [start + i * step for i in range(round((stop - start) / step) + 1)]
+
+
+def _grid(values, what: str, v: list, integer=False, sign=1) -> tuple:
+    """A strictly increasing (``sign`` -1: decreasing) grid of finite numbers,
+    or of integers >= 1; () after appending why not to ``v``."""
+    if not isinstance(values, list) or not values:
+        v.append(f"{what}: grid missing, malformed or over {_MAX_GRID} points")
+        return ()
+    values = [x if _is_int(x) and x >= 1 else None for x in values] if integer \
+        else [_real(x) for x in values]
+    if None in values:
+        v.append(f"{what}: entries must be "
+                 + ("integers >= 1" if integer else "finite numbers"))
+    elif any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
+        v.append(f"{what}: grid not strictly {'in' if sign > 0 else 'de'}creasing")
+    else:
+        return tuple(values)
+    return ()
+
+
+def _section(tree: dict, key: str, v: list) -> dict:
+    sub = tree.get(key) or {}
+    if isinstance(sub, dict):
+        return sub
+    v.append(f"{key}: must be a key/value tree")
+    return {}
+
+
+def _attempt(v: list, key: str, make, *args):
+    """``make(*args)``, or None after appending its error to ``v``."""
     try:
-        a = np.asarray(mat, dtype=float)
-    except Exception:
-        violations.append(f"{what}: not a numeric matrix")
-        return
-    if a.ndim != 2:
-        violations.append(f"{what}: not a matrix")
-        return
-    for i, row in enumerate(a):
-        if np.any(row <= 0.0) or np.any(row >= 1.0):
-            violations.append(f"{what}: row {i} has entries outside (0, 1)")
-        if abs(float(row.sum()) - 1.0) > 1e-12:
-            violations.append(f"{what}: row {i} not stochastic")
+        return make(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        v.append(f"{key}: {exc}")
+        return None
 
 
-def _check_grid(values, what: str, violations: list, *, integer=False) -> None:
-    if not values:
-        violations.append(f"{what}: grid empty or malformed")
-        return
-    arr = list(values)
-    if any(b <= a for a, b in zip(arr, arr[1:])):
-        violations.append(f"{what}: grid not strictly increasing")
-    if integer and any(int(v) != v or v < 1 for v in arr):
-        violations.append(f"{what}: entries must be integers >= 1")
+def _parse(tree: dict) -> tuple:
+    """The one pass over a tree: ``(config, [])`` when it is runnable, else
+    ``(None, violations)``."""
+    kind = tree.get("experiment")
+    if kind not in EXPERIMENT_KINDS:
+        return None, [f"experiment: unknown kind {kind!r}; expected one of "
+                      f"{', '.join(EXPERIMENT_KINDS)}"]
+    v: list = []
+    seeds = tree.get("seeds")
+    if not isinstance(seeds, list) or not seeds or \
+            any(not _is_int(s) or s < 0 for s in seeds):
+        v.append("seeds: must be a non-empty list of integers >= 0 "
+                 "(no ambient entropy)")
+    trials = tree.get("trials", 1)
+    if not _is_int(trials) or trials < 1:
+        v.append("trials: must be an integer >= 1")
+    elif kind == "circle_law" and trials < MIN_LAW_TRIALS:
+        v.append(f"trials: circle_law needs at least {MIN_LAW_TRIALS}")
+    budget = tree.get("operation_budget", 10**8)
+    if not _is_int(budget) or budget <= 0:
+        v.append("operation_budget: must be a positive integer")
+    threads = tree.get("threads", 0)
+    if not _is_int(threads) or threads < 0:
+        v.append("threads: must be an integer >= 0 (0 = all cores)")
+    output_dir = tree.get("output_dir")
+    if not isinstance(output_dir, (str, type(None))):
+        v.append("output_dir: must be a path")
+
+    sweep = _section(tree, "sweep", v)
+    base = fiber = None
+    n_grid = t_grid = r_grid = ()
+    if kind in _SHIFT_KINDS:
+        b = _section(tree, "base", v)
+        base = _attempt(v, "base", BaseProcess, b.get("kind"), b.get("weights"),
+                        b.get("transition"), b.get("stationary"))
+        fiber = _attempt(v, "fiber.matrix", FiberMeasure,
+                         _section(tree, "fiber", v).get("matrix"))
+        if base and fiber:
+            _attempt(v, "fiber.matrix", _check_base_alphabet, fiber, base)
+        n_grid = _grid(sweep.get("n"), "sweep.n", v, integer=True)
+    if kind == "singularity":
+        if len(n_grid) > 1:
+            v.append("sweep.n: singularity runs use exactly one word length")
+        if base and fiber and not _is_binary_symmetric(fiber, base):
+            v.append("base, fiber.matrix: singularity needs a fair-coin base "
+                     "and a fiber matrix [[p, 1-p], [1-p, p]]")
+    if kind in ("quenched_shift", "annealed_shift", "ledger", "circle_law"):
+        t_grid = _grid(_expand_t_grid(sweep.get("t")), "sweep.t", v)
+        if t_grid and t_grid[0] < 0:
+            v.append("sweep.t: grid must start at t >= 0")
+        if kind == "ledger" and t_grid and t_grid[0] <= 0:
+            v.append("sweep.t: ledger needs strictly positive t values")
+    jmax_factor = _section(tree, "ledger", v).get("jmax_factor", 4)
+    # compute_ledger needs jmax = jmax_factor * k to cover k
+    if not _is_int(jmax_factor) or jmax_factor < 1:
+        v.append("ledger.jmax_factor: must be an integer >= 1")
+
+    rds = CircleRDS()
+    if kind == "circle_law":
+        circle = _section(tree, "circle", v)
+        rds = _attempt(v, "circle.multipliers", CircleRDS,
+                       circle.get("multipliers", (2, 3)))
+        r_grid = _grid(sweep.get("r"), "sweep.r", v, sign=-1)
+        for r in r_grid:
+            _attempt(v, "sweep.r", BallTarget, 0.0, r)
+        bits = circle.get("precision_bits")
+        if bits is not None and not _is_int(bits):
+            v.append("circle.precision_bits: must be an integer")
+        elif bits is not None and not v:   # the horizon needs valid t and r
+            try:
+                horizon = math.floor(t_grid[-1] / (2.0 * r_grid[-1]))
+                need = required_bits(horizon, rds.max_multiplier)
+            except OverflowError:   # a horizon that no budget covers
+                horizon = need = math.inf
+            if bits < need:
+                v.append(f"circle.precision_bits: horizon {horizon} needs "
+                         f">= {need} bits, got {bits}")
+    if v:
+        return None, v
+    return ExperimentConfig(
+        experiment=kind, seeds=tuple(seeds), trials=trials, threads=threads,
+        operation_budget=budget, output_dir=output_dir, base=base, fiber=fiber,
+        n_grid=n_grid, t_grid=t_grid, r_grid=r_grid,
+        multipliers=rds.multipliers, jmax_factor=jmax_factor, raw=tree), []
 
 
 def validate(tree: dict) -> list:
     """All config violations, as strings; an empty list means runnable."""
-    v: list = []
-    kind = tree.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        v.append(f"experiment: unknown kind {kind!r}; expected one of "
-                 f"{', '.join(EXPERIMENT_KINDS)}")
-        return v
-
-    seeds = tree.get("seeds")
-    if not isinstance(seeds, list) or not seeds or \
-            any(not isinstance(s, int) for s in seeds):
-        v.append("seeds: must be a non-empty list of integers (no ambient entropy)")
-    if not isinstance(tree.get("trials", 1), int) or tree.get("trials", 1) < 1:
-        v.append("trials: must be an integer >= 1")
-    budget = tree.get("operation_budget", 10**8)
-    if not isinstance(budget, int) or budget <= 0:
-        v.append("operation_budget: must be a positive integer")
-    threads = tree.get("threads", 0)
-    if not isinstance(threads, int) or threads < 0:
-        v.append("threads: must be an integer >= 0 (0 = all cores)")
-
-    sweep = tree.get("sweep", {}) or {}
-    if kind in _SHIFT_KINDS:
-        base = tree.get("base") or {}
-        bkind = base.get("kind")
-        if bkind == "bernoulli":
-            w = base.get("weights")
-            _check_matrix([w] if w else None, "base.weights", v)
-        elif bkind == "markov":
-            _check_matrix(base.get("transition"), "base.transition", v)
-        else:
-            v.append("base.kind: must be 'bernoulli' or 'markov'")
-        fiber = tree.get("fiber") or {}
-        _check_matrix(fiber.get("matrix"), "fiber.matrix", v)
-        _check_grid(sweep.get("n"), "sweep.n", v, integer=True)
-    if kind in ("quenched_shift", "annealed_shift", "ledger"):
-        _check_grid(_expand_t_grid(sweep.get("t")), "sweep.t", v)
-        ts = _expand_t_grid(sweep.get("t"))
-        if ts and ts[0] < 0:
-            v.append("sweep.t: grid must start at t >= 0")
-    if kind == "ledger" and _expand_t_grid(sweep.get("t")):
-        if _expand_t_grid(sweep.get("t"))[0] <= 0:
-            v.append("sweep.t: ledger needs strictly positive t values")
-    if kind == "singularity":
-        ns = sweep.get("n")
-        if not ns or len(ns) != 1:
-            v.append("sweep.n: singularity runs use exactly one word length")
-        base = tree.get("base") or {}
-        fiber_mat = (tree.get("fiber") or {}).get("matrix")
-        symmetric = False
-        try:
-            w = np.asarray(base.get("weights"), dtype=float)
-            m = np.asarray(fiber_mat, dtype=float)
-            symmetric = (w.shape == (2,) and np.allclose(w, 0.5, atol=1e-12)
-                         and m.shape == (2, 2)
-                         and abs(m[0, 0] - m[1, 1]) <= 1e-12
-                         and abs(m[0, 1] - m[1, 0]) <= 1e-12)
-        except Exception:
-            pass
-        if not symmetric:
-            v.append("singularity: needs the symmetric two-symbol family "
-                     "(fair-coin base, fiber matrix [[p, 1-p], [1-p, p]])")
-
-    if kind == "circle_law":
-        circle = tree.get("circle", {}) or {}
-        muls = circle.get("multipliers", [2, 3])
-        if (not isinstance(muls, list) or len(muls) != 2
-                or any(not isinstance(m, int) or m < 2 for m in muls)):
-            v.append("circle.multipliers: need two integers >= 2")
-        _check_grid(_expand_t_grid(sweep.get("t")), "sweep.t", v)
-        rs = sweep.get("r")
-        if not isinstance(rs, list) or not rs or \
-                any(not 0.0 < float(r) < 0.5 for r in rs):
-            v.append("sweep.r: need radii inside (0, 1/2)")
-        elif any(b >= a for a, b in zip(rs, rs[1:])):
-            v.append("sweep.r: radii must be strictly decreasing")
-        bits = circle.get("precision_bits")
-        ts = _expand_t_grid(sweep.get("t"))
-        if bits is not None and rs and ts and isinstance(muls, list) and len(muls) == 2:
-            horizon = math.floor(max(ts) / (2.0 * min(float(r) for r in rs)))
-            need = required_bits(horizon, max(muls))
-            if bits < need:
-                v.append(f"circle.precision_bits: horizon {horizon} needs "
-                         f">= {need} bits, got {bits}")
-    return v
+    return _parse(tree)[1]
 
 
 def build_config(tree: dict) -> ExperimentConfig:
-    """Typed config from a validated tree (raises on violations)."""
-    problems = validate(tree)
+    """Typed config from a valid tree (raises ValueError on violations)."""
+    cfg, problems = _parse(tree)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    kind = tree["experiment"]
-    sweep = tree.get("sweep", {}) or {}
-    base = fiber = None
-    if kind in _SHIFT_KINDS:
-        b = tree["base"]
-        base = (BaseProcess.bernoulli(b["weights"]) if b["kind"] == "bernoulli"
-                else BaseProcess.markov(b["transition"], b.get("stationary")))
-        fiber = FiberMeasure(np.asarray(tree["fiber"]["matrix"], dtype=float))
-    circle = tree.get("circle", {}) or {}
-    ledger_opts = tree.get("ledger", {}) or {}
-    return ExperimentConfig(
-        experiment=kind,
-        seeds=tuple(tree["seeds"]),
-        trials=int(tree.get("trials", 1)),
-        threads=int(tree.get("threads", 0)),
-        operation_budget=int(tree.get("operation_budget", 10**8)),
-        output_dir=tree.get("output_dir"),
-        base=base,
-        fiber=fiber,
-        n_grid=tuple(int(n) for n in sweep.get("n", ())),
-        t_grid=tuple(_expand_t_grid(sweep.get("t"))),
-        r_grid=tuple(float(r) for r in sweep.get("r", ())),
-        multipliers=tuple(circle.get("multipliers", (2, 3))),
-        precision_bits=circle.get("precision_bits"),
-        jmax_factor=int(ledger_opts.get("jmax_factor", 4)),
-        raw=tree,
-    )
+    return cfg

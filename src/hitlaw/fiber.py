@@ -39,7 +39,7 @@ class FiberMeasure:
         if not np.all((w > 0.0) & (w < 1.0)):
             raise ValueError("W entries must lie strictly inside (0, 1)")
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > _ATOL:
-            raise ValueError("W rows must sum to 1 within 1e-12")
+            raise ValueError("W rows not stochastic (within 1e-12)")
         object.__setattr__(self, "W", w)
 
     @property
@@ -90,6 +90,13 @@ def _check_compatible(fm: FiberMeasure, pat: Pattern) -> None:
             f"{fm.fiber_alphabet_size}")
 
 
+def _check_base_alphabet(fm: FiberMeasure, proc: BaseProcess) -> None:
+    if fm.base_alphabet_size != proc.alphabet_size:
+        raise ValueError(
+            f"fiber matrix has {fm.base_alphabet_size} rows; the base alphabet "
+            f"has {proc.alphabet_size} symbols")
+
+
 def fiber_cylinder_measure(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
                            offset: int = 0) -> float:
     """Exact cylinder measure of the pattern under the noise seen from ``offset``.
@@ -115,8 +122,7 @@ def marginal_cylinder_measure(fm: FiberMeasure, proc: BaseProcess, pat: Pattern)
     matrices against the stationary vector, cost O(n s^2).
     """
     _check_compatible(fm, pat)
-    if fm.base_alphabet_size != proc.alphabet_size:
-        raise ValueError("fiber matrix rows do not match the base alphabet")
+    _check_base_alphabet(fm, proc)
     w = fm.W
     if proc.kind == "bernoulli":
         col_means = proc.weights @ w   # one averaged factor per fiber symbol

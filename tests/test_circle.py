@@ -6,9 +6,9 @@ import pytest
 
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS,
-                           annulus_mass_check, aperiodicity_probe,
-                           circle_distance, hitting_time_ball,
-                           quenched_law_statistic, random_orbit, required_bits)
+                           aperiodicity_probe, circle_distance,
+                           hitting_time_ball, quenched_law_statistic,
+                           random_orbit, required_bits)
 from hitlaw.errors import PrecisionBudgetError
 
 
@@ -153,20 +153,6 @@ def test_quenched_law_widened_when_capped(rds):
     out = quenched_law_statistic(rds, bits, y=0.3, r=0.05, t_grid=[0.0, 1.0],
                                  trials=100, seed=6, cap=3)
     assert out.widened_uncertainty
-
-
-def test_annulus_mass_check_examples_and_sweep():
-    assert annulus_mass_check(0.5, 0.1, 0.01)
-    assert annulus_mass_check(0.2, 0.4, 0.05)
-    rng = make_rng(9)
-    for _ in range(1000):
-        r = float(rng.uniform(1e-4, 0.499))
-        rho = float(rng.uniform(0.0, r))
-        if rho <= 0.0 or rho >= r:
-            continue
-        assert annulus_mass_check(float(rng.random()), r, rho)
-    with pytest.raises(ValueError):
-        annulus_mass_check(0.5, 0.6, 0.01)
 
 
 def test_aperiodicity_probe_uniform_is_zero(rds):

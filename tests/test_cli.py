@@ -1,7 +1,11 @@
+import copy
 import json
 import os
 
+import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitlaw.cli import main
 from hitlaw.config import build_config, validate
@@ -246,3 +250,107 @@ def test_config_hash_ignores_worker_count():
     three = build_config(_tiny_tree(threads=3))
     assert one.config_hash() == three.config_hash()
     assert build_config(_tiny_tree(seeds=[1, 3])).config_hash() != one.config_hash()
+
+
+_CIRCLE = {
+    "experiment": "circle_law",
+    "seeds": [1],
+    "trials": 100,
+    "threads": 1,
+    "circle": {"multipliers": [2, 3]},
+    "sweep": {"t": [0.0, 0.5, 1.0], "r": [0.05]},
+}
+
+# Each tree breaks one rule that a run depends on; the key that names it.
+_BAD_TREES = {
+    "singularity-near-fair-coin": ("base", _tiny_tree(
+        experiment="singularity", trials=5, sweep={"n": [10]},
+        base={"kind": "bernoulli", "weights": [0.500001, 0.499999]})),
+    "fiber-rows-vs-base-alphabet": ("fiber.matrix", _tiny_tree(
+        base={"kind": "bernoulli", "weights": [0.2, 0.3, 0.5]})),
+    "markov-stationary-not-invariant": ("base", _tiny_tree(
+        base={"kind": "markov", "transition": [[0.6, 0.4], [0.4, 0.6]],
+              "stationary": [0.3, 0.7]})),
+    "circle-too-few-trials": ("trials", dict(_CIRCLE, trials=50)),
+    "ledger-jmax-factor-zero": ("ledger.jmax_factor", _tiny_tree(
+        experiment="ledger", ledger={"jmax_factor": 0},
+        sweep={"n": [2, 3], "t": [0.5, 1.0]})),
+    "threads-boolean": ("threads", _tiny_tree(threads=True)),
+    "base-not-a-tree": ("base", _tiny_tree(base=[1, 2])),
+    "sweep-not-a-tree": ("sweep", _tiny_tree(sweep=[1])),
+    "t-stop-string": ("sweep.t", _tiny_tree(
+        sweep={"n": [2, 3], "t": {"start": 0.0, "stop": "two", "step": 0.5}})),
+    "n-string": ("sweep.n", _tiny_tree(sweep={"n": ["two"], "t": [0.0, 1.0]})),
+    "r-string": ("sweep.r", dict(_CIRCLE, sweep={"t": [0.0, 1.0], "r": ["wide"]})),
+    "precision-bits-string": ("circle.precision_bits", dict(
+        _CIRCLE, circle={"multipliers": [2, 3], "precision_bits": "many"})),
+}
+
+
+@pytest.mark.parametrize("key, tree", list(_BAD_TREES.values()),
+                         ids=list(_BAD_TREES))
+def test_model_rule_violations_exit_1(tmp_path, capsys, key, tree):
+    assert any(p.startswith(key) for p in validate(tree))
+    cfg = _write(tmp_path, tree)
+    assert main(["validate", "--config", cfg]) == 1
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+_VALID_TREES = [
+    _tiny_tree(),
+    _tiny_tree(experiment="annealed_shift", trials=3,
+               base={"kind": "markov", "transition": [[0.6, 0.4], [0.3, 0.7]]}),
+    _tiny_tree(experiment="ledger", sweep={"n": [2], "t": [0.5, 1.0]},
+               ledger={"jmax_factor": 4}),
+    _tiny_tree(experiment="singularity", sweep={"n": [10]}),
+    _tiny_tree(experiment="entropy", sweep={"n": [4]}),
+    dict(_CIRCLE, circle={"multipliers": [2, 3], "precision_bits": 200}),
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_tree(draw):
+    """A valid tree with one to three of its values, at any depth, replaced
+    by arbitrary JSON-like values."""
+    tree = copy.deepcopy(draw(st.sampled_from(_VALID_TREES)))
+    paths = draw(st.lists(st.sampled_from(list(_paths(tree))), min_size=1,
+                          max_size=3, unique=True))
+    # deepest first, so that every path still exists when it is replaced
+    for path in sorted(paths, key=len, reverse=True):
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(_JSON_VALUES)
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_tree())
+def test_validate_is_total_and_agrees_with_build_config(tree):
+    problems = validate(tree)
+    assert isinstance(problems, list)
+    assert all(isinstance(p, str) and ": " in p for p in problems)
+    try:
+        build_config(tree)
+    except ValueError:
+        built = False
+    else:
+        built = True
+    assert built == (problems == [])
