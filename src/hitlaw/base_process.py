@@ -163,10 +163,9 @@ class BaseWindow:
     views share the buffer, so extending any of them extends all.
     """
 
-    def __init__(self, buf: _WindowBuffer, start_index: int = 0, label: str = ""):
+    def __init__(self, buf: _WindowBuffer, start_index: int = 0):
         self._buf = buf
         self.start_index = start_index
-        self.label = label
 
     def __len__(self) -> int:
         return max(0, self._buf.symbols.size - self.start_index)
@@ -189,7 +188,7 @@ class BaseWindow:
     def shifted(self, k: int) -> "BaseWindow":
         if k < 0:
             raise ValueError("windows only extend to the right; shift must be >= 0")
-        return BaseWindow(self._buf, self.start_index + k, label=f"{self.label}+{k}")
+        return BaseWindow(self._buf, self.start_index + k)
 
 
 def sample_window(proc: BaseProcess, seed, length: int) -> BaseWindow:
@@ -197,7 +196,7 @@ def sample_window(proc: BaseProcess, seed, length: int) -> BaseWindow:
     if length < 1:
         raise ValueError("window length must be >= 1")
     buf = _WindowBuffer(proc, make_rng(seed), length)
-    return BaseWindow(buf, 0, label=f"seed={seed}")
+    return BaseWindow(buf)
 
 
 def base_cylinder_prob(proc: BaseProcess, word) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .base_process import BaseProcess, BaseWindow, make_rng
 from .errors import PrecisionBudgetError
+from .stats import _check_t_grid, ks_to_exponential
 
 _GUARD_BITS = 64
 
@@ -277,9 +278,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     """
     if trials < MIN_LAW_TRIALS:
         raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("t grid must be increasing and nonnegative")
+    t = _check_t_grid(t_grid)
     target = BallTarget(center=y, radius=r)
     ks = np.array([math.floor(ti / target.measure) for ti in t], dtype=np.int64)
     k_max = int(ks[-1])
@@ -305,8 +304,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
             taus[i] = hit
     survival = np.array([(taus > k).mean() if k <= scan_cap else (taus > scan_cap).mean()
                          for k in ks])
-    reference = np.exp(-t)
-    delta_r = float(np.max(np.abs(survival - reference)))
+    delta_r = ks_to_exponential(survival, t).sup_abs_err
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
                            delta_r=delta_r, trials=trials, censored_count=censored,
                            widened_uncertainty=widened)
@@ -335,15 +333,6 @@ def aperiodicity_probe(rds: CircleRDS, bits, trials: int, horizon: int, seed,
     for x0 in points:
         _check_budget(x0, horizon, rds.max_multiplier)
         num0 = x0.numerator
-        den = x0.denominator
-        num = num0
-        mask = den - 1 if den & (den - 1) == 0 else None
-        for k in range(horizon):
-            if mask is not None:
-                num = (num * rds.multipliers[bit_list[k]]) & mask
-            else:
-                num = (num * rds.multipliers[bit_list[k]]) % den
-            if num == num0:
-                periodic += 1
-                break
+        periodic += _scan_to_ball(num0, x0.denominator, bit_list, rds.multipliers,
+                                  [(num0, num0)], horizon) is not None
     return periodic / len(points)

@@ -17,13 +17,15 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
+import numpy as np
 import yaml
 
 from .base_process import BaseProcess
 from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS, required_bits
 from .fiber import FiberMeasure, _check_base_alphabet, _is_binary_symmetric
+from .stats import _check_t_grid
 
 EXPERIMENT_KINDS = ("quenched_shift", "annealed_shift", "ledger", "entropy",
                     "circle_law", "singularity")
@@ -50,12 +52,15 @@ class ExperimentConfig:
     r_grid: tuple
     multipliers: tuple
     jmax_factor: int
-    raw: dict = field(repr=False)
 
     def config_hash(self) -> str:
-        # the worker count changes how a run computes, never what it writes
-        science = {k: v for k, v in self.raw.items() if k != "threads"}
-        canon = json.dumps(science, sort_keys=True, separators=(",", ":"))
+        # the parsed science inputs: the worker count and the output
+        # directory change how and where a run computes, never what it writes
+        science = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("threads", "output_dir")}
+        canon = json.dumps(science, sort_keys=True, separators=(",", ":"),
+                           default=lambda x: x.tolist() if isinstance(x, np.ndarray)
+                           else vars(x))   # arrays, then the model objects
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -91,10 +96,11 @@ def _expand_t_grid(spec):
     return [start + i * step for i in range(round((stop - start) / step) + 1)]
 
 
-def _grid(values, what: str, v: list, integer=False, sign=1) -> tuple:
-    """A strictly increasing (``sign`` -1: decreasing) grid of finite numbers,
-    or of integers >= 1; () after appending why not to ``v``."""
-    if not isinstance(values, list) or not values:
+def _grid(values, what: str, v: list, integer=False, sign=1, rule=None) -> tuple:
+    """A grid of finite numbers, or of integers >= 1, that the ``rule``
+    function accepts, by default one that strictly increases (``sign`` -1:
+    decreases); () after appending why not to ``v``."""
+    if not isinstance(values, list) or (not values and rule is None):
         v.append(f"{what}: grid missing, malformed or over {_MAX_GRID} points")
         return ()
     values = [x if _is_int(x) and x >= 1 else None for x in values] if integer \
@@ -102,6 +108,9 @@ def _grid(values, what: str, v: list, integer=False, sign=1) -> tuple:
     if None in values:
         v.append(f"{what}: entries must be "
                  + ("integers >= 1" if integer else "finite numbers"))
+    elif rule is not None:
+        checked = _attempt(v, what, rule, values)
+        return () if checked is None else tuple(checked.tolist())
     elif any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
         v.append(f"{what}: grid not strictly {'in' if sign > 0 else 'de'}creasing")
     else:
@@ -173,9 +182,8 @@ def _parse(tree: dict) -> tuple:
             v.append("base, fiber.matrix: singularity needs a fair-coin base "
                      "and a fiber matrix [[p, 1-p], [1-p, p]]")
     if kind in ("quenched_shift", "annealed_shift", "ledger", "circle_law"):
-        t_grid = _grid(_expand_t_grid(sweep.get("t")), "sweep.t", v)
-        if t_grid and t_grid[0] < 0:
-            v.append("sweep.t: grid must start at t >= 0")
+        t_grid = _grid(_expand_t_grid(sweep.get("t")), "sweep.t", v,
+                       rule=_check_t_grid)
         if kind == "ledger" and t_grid and t_grid[0] <= 0:
             v.append("sweep.t: ledger needs strictly positive t values")
     jmax_factor = _section(tree, "ledger", v).get("jmax_factor", 4)
@@ -209,7 +217,7 @@ def _parse(tree: dict) -> tuple:
         experiment=kind, seeds=tuple(seeds), trials=trials, threads=threads,
         operation_budget=budget, output_dir=output_dir, base=base, fiber=fiber,
         n_grid=n_grid, t_grid=t_grid, r_grid=r_grid,
-        multipliers=rds.multipliers, jmax_factor=jmax_factor, raw=tree), []
+        multipliers=rds.multipliers, jmax_factor=jmax_factor), []
 
 
 def validate(tree: dict) -> list:

@@ -29,7 +29,8 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (compute_ledger, estimate_entropies, gap_schedule,
                      verify_sandwich)
 from .stats import ks_to_exponential, trend_report
-from .survival import _rescaled_k, _windows_survival, rescaled_survival
+from .survival import (_annealed_curve, _rescaled_k, _windows_survival,
+                       rescaled_survival)
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -137,19 +138,17 @@ def run_quenched_shift(cfg: ExperimentConfig) -> RunResult:
 
 def _annealed_chunk(args):
     """Exact survival of one contiguous run of windows in one kernel call,
-    or the run's truncation markers.  Every chunk draws the same word, so
-    that the parent process never samples (nor imports numpy.random)."""
+    or the word length's truncation marker.  Every chunk draws the same word,
+    so that the parent process never samples (nor imports numpy.random)."""
     cfg, n, windows = args
     pat = _draw_pattern(cfg, cfg.seeds[0], n)
     mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-    k_max = math.floor(cfg.t_grid[-1] / mu_a)
-    cap = _survival_step_cap(cfg, n)
-    if k_max > cap:
-        return ("truncated", [f"annealed n={n} window={widx}: k={k_max} over "
-                              f"step cap {cap}" for widx in windows])
-    ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, cap)
-    return ("ok", ks, _windows_survival(cfg.fiber, pat, (
-        sample_window(cfg.base, [cfg.seeds[0], 0, widx], k_max + n + 1)
+    try:
+        ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, _survival_step_cap(cfg, n))
+    except ResourceLimitError as exc:   # every window shares the word's k
+        return ("truncated", f"annealed n={n}: {exc}")
+    return ("ok", ks, mu_a, _windows_survival(cfg.fiber, pat, (
+        sample_window(cfg.base, [cfg.seeds[0], 0, widx], int(ks[-1]) + n + 1)
         for widx in windows), ks))
 
 
@@ -165,20 +164,20 @@ def run_annealed_shift(cfg: ExperimentConfig) -> RunResult:
         items = [(cfg, n, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
         results = _parallel_map(_annealed_chunk, items, cfg.threads)
         if results[0][0] == "truncated":
-            truncated.extend(m for out in results for m in out[1])
+            truncated.append(results[0][1])
             artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, [])
             continue
-        values = np.concatenate([out[2] for out in results])
-        mean = values.mean(axis=0)
-        stderr = (values.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
-                  if cfg.trials > 1 else np.zeros(values.shape[1]))
+        curve = _annealed_curve(np.asarray(cfg.t_grid), results[0][1],
+                                np.concatenate([out[3] for out in results]),
+                                results[0][2])
         rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
-                for t, k, m, se in zip(cfg.t_grid, results[0][1], mean, stderr)]
+                for t, k, m, se in zip(cfg.t_grid, curve.k_values, curve.mean,
+                                       curve.stderr)]
         artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, rows)
-        sup = ks_to_exponential(mean, t_grid=np.asarray(cfg.t_grid)).sup_abs_err
-        report["per_n"][str(n)] = {"sup_abs_err": sup, "windows": cfg.trials}
+        report["per_n"][str(n)] = {"sup_abs_err": ks_to_exponential(curve).sup_abs_err,
+                                   "windows": curve.n_windows}
     artifacts["report.json"] = ("json", report)
-    return RunResult(artifacts=artifacts, truncated=sorted(set(truncated)))
+    return RunResult(artifacts=artifacts, truncated=sorted(truncated))
 
 
 # ----------------------------------------------------------------------
@@ -343,6 +342,16 @@ _RUNNERS = {
 }
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float, such as the median of a sweep key
+    with no finished item, as None: strict JSON writes it as null."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> dict:
     """Write CSV/JSON artifacts plus a manifest with checksums; returns the
     manifest dict."""
@@ -360,7 +369,8 @@ def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> d
                     writer.writerow([_fmt(v) for v in row])
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload[0], fh, indent=2, sort_keys=True)
+                json.dump(_strict(payload[0]), fh, indent=2, sort_keys=True,
+                          allow_nan=False)
                 fh.write("\n")
         with open(path, "rb") as fh:
             checksums[name] = hashlib.sha256(fh.read()).hexdigest()

@@ -97,10 +97,7 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     """
     n = pat.n
     gap = g or 0
-    need = k + gap + jmax + n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
-    symbols = window.prefix(need)
+    symbols = window.prefix(k + gap + jmax + n)
     aut = build_automaton(pat)
     masked = masked_step_matrices(fm, aut)
 
@@ -157,11 +154,21 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     return mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup
 
 
-def _check_budget(k: int, pat: Pattern, op_budget: int | None) -> None:
+def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float,
+             op_budget: int | None) -> int:
+    """k = floor(t / mu(A)) for a word on the fiber alphabet at t > 0, with
+    mu(A) the noise-averaged cylinder measure, priced against the budget."""
+    _check_compatible(fm, pat)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    k = math.floor(t / marginal_cylinder_measure(fm, proc, pat))
+    if k < 1:
+        raise ValueError(f"t={t} gives k=0; nothing to compute")
     if op_budget is not None and k * pat.n * pat.alphabet_size > op_budget:
         raise ResourceLimitError(
             f"ledger computation needs k*n*b = {k * pat.n * pat.alphabet_size} "
             f"operations, over the budget {op_budget}")
+    return k
 
 
 def hits_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int) -> float:
@@ -171,11 +178,9 @@ def hits_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int) -> floa
         raise ValueError("k must be >= 0")
     if k == 0:
         return 0.0
-    need = k + pat.n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    return math.fsum(_sliding_cylinder_measures(fm, window.prefix(need), pat, offsets))
+    return math.fsum(_sliding_cylinder_measures(fm, window.prefix(k + pat.n), pat,
+                                                offsets))
 
 
 def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
@@ -186,10 +191,7 @@ def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     if k < 1 or g < 1:
         raise ValueError("need k >= 1 and g >= 1")
     n = pat.n
-    need = k + g + n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
-    symbols = window.prefix(need)
+    symbols = window.prefix(k + g + n)
     offsets = np.arange(1, k + 1, dtype=np.int64)
     mu = _sliding_cylinder_measures(fm, symbols, pat, offsets)
     aut = build_automaton(pat)
@@ -209,23 +211,17 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     requires 1 <= g <= k and a window covering k + g + jmax + n symbols.
     jmax defaults to 4k.
     """
-    _check_compatible(fm, pat)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    mu_a = marginal_cylinder_measure(fm, proc, pat)
-    k = math.floor(t / mu_a)
+    k = _horizon(fm, proc, pat, t, op_budget)
     if not 1 <= g <= k:
         raise ValueError(f"need 1 <= g <= k; got g={g}, k={k}")
-    if jmax is None:
-        jmax = 4 * k
+    jmax = 4 * k if jmax is None else jmax
     if jmax < max(k, g):
         raise ValueError("jmax must cover both k and g")
-    _check_budget(k, pat, op_budget)
 
     mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup = _delta_terms(
         fm, window, pat, k, jmax, g)
     m_sum = math.fsum(mu)
-    ledger = ErrorLedger(
+    return ErrorLedger(
         n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
         M=m_sum,
         G=math.fsum(mu * (1.0 - c_at_g)),
@@ -236,7 +232,6 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
         lemma_rhs=lemma[1],
         sandwich_gap=abs(prod_term - math.exp(-m_sum)),
     )
-    return ledger
 
 
 def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
@@ -249,18 +244,10 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
     the discrepancy-weighted prefix-product sum.  jmax defaults to k, which
     already certifies the bound (the unrolled recursion consults j < k).
     """
-    _check_compatible(fm, pat)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    mu_a = marginal_cylinder_measure(fm, proc, pat)
-    k = math.floor(t / mu_a)
-    if k < 1:
-        raise ValueError(f"t={t} gives k=0; nothing to verify")
-    if jmax is None:
-        jmax = k
+    k = _horizon(fm, proc, pat, t, op_budget)
+    jmax = k if jmax is None else jmax
     if jmax < k:
         raise ValueError("jmax must be >= k")
-    _check_budget(k, pat, op_budget)
 
     (lhs, rhs) = _delta_terms(fm, window, pat, k, jmax, None)[2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)

@@ -14,6 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_t_grid(t_grid) -> np.ndarray:
+    """The rescaled times of a comparison with exp(-t), as floats."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.size == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
+        raise ValueError("t grid must be non-empty, strictly increasing and "
+                         "start at t >= 0")
+    return t
+
+
 @dataclass(frozen=True)
 class CurveReport:
     """One observed curve against exp(-t), with its sup distance."""

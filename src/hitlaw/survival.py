@@ -23,6 +23,7 @@ from .base_process import BaseProcess, BaseWindow, sample_window
 from .errors import ResourceLimitError
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
                     fiber_cylinder_measure, marginal_cylinder_measure)
+from .stats import _check_t_grid
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,7 @@ def masked_step_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarray:
     """Per-base-symbol step matrices on states 0..n-1, with all mass that
     would enter the accepting state dropped.  Shape (s, n, n), column =
     current state."""
-    n = aut.n
-    mats = np.zeros((fm.base_alphabet_size, n, n))
-    for st in range(n):
-        for c in range(aut.b):
-            nxt = int(aut.delta[st, c])
-            if nxt < n:
-                mats[:, nxt, st] += fm.W[:, c]
-    return mats
+    return np.ascontiguousarray(full_step_matrices(fm, aut)[:, :aut.n, :aut.n])
 
 
 def full_step_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarray:
@@ -181,19 +175,11 @@ def _windows_survival(fm: FiberMeasure, pat: Pattern, windows,
 
 
 @dataclass(frozen=True)
-class CurveMeta:
-    pattern: str
-    window: str
-    offset: int
-
-
-@dataclass(frozen=True)
 class SurvivalCurve:
     """Values of a survival probability on an increasing k-grid."""
 
     k_grid: np.ndarray
     values: np.ndarray
-    meta: CurveMeta
 
     def __post_init__(self):
         k = np.asarray(self.k_grid, dtype=np.int64)
@@ -216,7 +202,17 @@ class SurvivalCurve:
         return float(self.values[idx])
 
 
-def _normalize_k_grid(k_max: int, k_grid) -> np.ndarray:
+def _curve_grid(fm: FiberMeasure, window: BaseWindow, pat: Pattern, offset: int,
+                k_max: int, k_grid) -> np.ndarray:
+    """The k grid (default 0..k_max) of an exact curve seen from ``offset``,
+    once the word fits the fiber and the window covers
+    offset .. offset + k_max + n - 1."""
+    _check_compatible(fm, pat)
+    if offset < 0 or k_max < 0:
+        raise ValueError("offset and k_max must be >= 0")
+    need = offset + k_max + pat.n
+    if need > len(window):
+        raise ValueError(f"window covers {len(window)} symbols; need {need}")
     if k_grid is None:
         return np.arange(k_max + 1, dtype=np.int64)
     grid = np.asarray(k_grid, dtype=np.int64)
@@ -236,17 +232,9 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     Cost O(k_max * n * b); the window must cover
     offset .. offset + k_max + n - 1.
     """
-    _check_compatible(fm, pat)
-    if offset < 0 or k_max < 0:
-        raise ValueError("offset and k_max must be >= 0")
-    n = pat.n
-    need = offset + k_max + n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
-    grid = _normalize_k_grid(k_max, k_grid)
+    grid = _curve_grid(fm, window, pat, offset, k_max, k_grid)
     values = _windows_survival(fm, pat, [window.shifted(offset)], grid)[0]
-    meta = CurveMeta(pattern=str(pat), window=window.label, offset=offset)
-    return SurvivalCurve(k_grid=grid, values=values, meta=meta)
+    return SurvivalCurve(k_grid=grid, values=values)
 
 
 def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
@@ -260,30 +248,14 @@ def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Patte
     word's longest proper border, i.e. the state reached after reading the
     word, and the recursion runs from coordinate n onward.
     """
-    _check_compatible(fm, pat)
-    if offset < 0 or k_max < 0:
-        raise ValueError("offset and k_max must be >= 0")
+    grid = _curve_grid(fm, window, pat, offset, k_max, k_grid)
     n = pat.n
-    need = offset + k_max + n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
-    grid = _normalize_k_grid(k_max, k_grid)
     weight = fiber_cylinder_measure(fm, window, pat, offset)
     aut = build_automaton(pat)
     symbols = window.prefix(offset + n + int(grid[-1]))[offset + n:]
     values = weight * _lockstep(masked_step_matrices(fm, aut), symbols[np.newaxis],
                                 np.eye(n)[[aut.border]], grid)[:, 0]
-    meta = CurveMeta(pattern=str(pat), window=window.label, offset=offset)
-    return SurvivalCurve(k_grid=grid, values=values, meta=meta)
-
-
-def _check_t_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("t grid must be non-empty")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("t grid must be increasing and nonnegative")
-    return t
+    return SurvivalCurve(k_grid=grid, values=values)
 
 
 @dataclass(frozen=True)
@@ -294,7 +266,6 @@ class RescaledCurve:
     k_values: np.ndarray
     values: np.ndarray
     mu_a: float
-    meta: CurveMeta
 
     @property
     def observed(self) -> np.ndarray:
@@ -322,8 +293,7 @@ def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     curve = quenched_survival(fm, window, pat, k_max=int(ks[-1]),
                               k_grid=np.unique(ks))
     values = curve.values[np.searchsorted(curve.k_grid, ks)]
-    return RescaledCurve(t_grid=t, k_values=ks, values=values, mu_a=mu_a,
-                         meta=curve.meta)
+    return RescaledCurve(t_grid=t, k_values=ks, values=values, mu_a=mu_a)
 
 
 _SCAN_BLOCK = 4096
@@ -408,10 +378,14 @@ def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
     length = int(ks[-1]) + pat.n + 1
     values = _windows_survival(fm, pat, (sample_window(proc, [seed, i], length)
                                          for i in range(n_windows)), ks)
-    mean = values.mean(axis=0)
-    if n_windows > 1:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(n_windows)
-    else:
-        stderr = np.zeros(t.size)
-    return AnnealedCurve(t_grid=t, k_values=ks, mean=mean, stderr=stderr,
-                         n_windows=n_windows, mu_a=mu_a)
+    return _annealed_curve(t, ks, values, mu_a)
+
+
+def _annealed_curve(t: np.ndarray, ks: np.ndarray, values: np.ndarray,
+                    mu_a: float) -> AnnealedCurve:
+    """Mean and standard error over the windows, one row of ``values`` each."""
+    n_windows = values.shape[0]
+    stderr = (values.std(axis=0, ddof=1) / math.sqrt(n_windows) if n_windows > 1
+              else np.zeros(t.size))
+    return AnnealedCurve(t_grid=t, k_values=ks, mean=values.mean(axis=0),
+                         stderr=stderr, n_windows=n_windows, mu_a=mu_a)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS,
@@ -166,3 +168,22 @@ def test_aperiodicity_probe_forced_points(rds):
                               points=[CirclePoint.from_fraction(0, 1)]) == 1.0
     assert aperiodicity_probe(rds, [0] * 50, 1, 50, 0,
                               points=[CirclePoint.from_fraction(1, 3)]) == 1.0
+
+
+_DENOMINATORS = st.integers(1, 60) | st.sampled_from([2 ** j for j in range(1, 12)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), _DENOMINATORS), min_size=1,
+                max_size=4),
+       st.lists(st.integers(0, 1), min_size=1, max_size=40),
+       st.sampled_from([(2, 3), (2, 5), (3, 4), (6, 7)]))
+def test_aperiodicity_probe_matches_orbit_returns(fractions, bits, multipliers):
+    rds = CircleRDS(multipliers=multipliers)
+    points = [CirclePoint.from_fraction(p, q) for p, q in fractions]
+    returns = sum(any(y.numerator == x0.numerator
+                      for y in random_orbit(rds, bits, x0, len(bits)))
+                  for x0 in points)
+    probe = aperiodicity_probe(rds, bits, trials=0, horizon=len(bits), seed=0,
+                               points=points)
+    assert probe == returns / len(points)

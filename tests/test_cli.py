@@ -1,4 +1,5 @@
 import copy
+import datetime
 import json
 import os
 
@@ -250,6 +251,54 @@ def test_config_hash_ignores_worker_count():
     three = build_config(_tiny_tree(threads=3))
     assert one.config_hash() == three.config_hash()
     assert build_config(_tiny_tree(seeds=[1, 3])).config_hash() != one.config_hash()
+
+
+def test_config_hash_reads_only_the_science_inputs(tmp_path):
+    # a date is valid YAML that JSON cannot hold; the parse ignores the key
+    cfg = _write(tmp_path, dict(_tiny_tree(), note=datetime.date(2020, 1, 1)))
+    assert "note: 2020-01-01" in open(cfg).read()
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_hash"] == build_config(_tiny_tree()).config_hash()
+    elsewhere = build_config(_tiny_tree(output_dir="elsewhere", threads=2))
+    assert elsewhere.config_hash() == manifest["config_hash"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_report_of_a_sweep_key_with_no_finished_item_is_strict_json(tmp_path):
+    # at this budget every n=14 item is over the step cap, so n=14 has no median
+    tree = _tiny_tree(operation_budget=10000,
+                      sweep={"n": [2, 3, 14], "t": [0.0, 1.0, 2.0]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, tree), "--out", str(out)]) == 2
+    for name in ("report.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    report = json.loads((out / "report.json").read_text())
+    assert report["per_n"]["14"] == {"sup_abs_err": {}, "median_sup_abs_err": None}
+    assert report["per_n"]["2"]["median_sup_abs_err"] > 0
+
+
+def test_annealed_over_budget_exits_2_with_one_marker_per_word_length(tmp_path):
+    tree = _tiny_tree(experiment="annealed_shift", trials=5, operation_budget=4)
+    cfg = _write(tmp_path, tree)
+    outs = []
+    for threads in (1, 3):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [m.split(":")[0] for m in manifest["truncated"]] == \
+            ["annealed n=2", "annealed n=3"]
+        for n in (2, 3):
+            assert (out / f"annealed_n{n}.csv").read_text() == \
+                "t,k,mean_survival,stderr,exp_minus_t,abs_err\n"
+        outs.append({f: (out / f).read_bytes() for f in os.listdir(out)
+                     if f != "manifest.json"})
+    assert outs[0] == outs[1]
 
 
 _CIRCLE = {

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hitlaw.stats import dkw_band, ks_to_exponential, trend_report
+from hitlaw.base_process import sample_window
+from hitlaw.circle import CircleRDS, quenched_law_statistic
+from hitlaw.config import validate
+from hitlaw.fiber import Pattern, binary_symmetric_model
+from hitlaw.stats import _check_t_grid, dkw_band, ks_to_exponential, trend_report
+from hitlaw.survival import annealed_survival, rescaled_survival
 
 
 def test_ks_exact_match_is_zero():
@@ -81,3 +86,45 @@ def test_dkw_band_value():
         math.sqrt(math.log(200.0) / (2 * 10**5)))
     with pytest.raises(ValueError):
         dkw_band(0)
+
+
+# Each t grid, and whether the one t-grid rule accepts it.
+_T_GRIDS = {
+    "empty": ([], False),
+    "starts-at-minus-1": ([-1.0, 0.0, 1.0], False),
+    "not-increasing": ([0.0, 1.0, 1.0], False),
+    "valid": ([0.0, 0.5, 1.0], True),
+}
+
+
+def _error(call):
+    """The ValueError message of ``call()``, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("grid, accepted", list(_T_GRIDS.values()), ids=list(_T_GRIDS))
+def test_every_t_grid_consumer_applies_the_one_rule(grid, accepted):
+    want = _error(lambda: _check_t_grid(grid))
+    assert (want is None) == accepted
+    proc, fm = binary_symmetric_model(0.3)
+    pat = Pattern((0, 1, 1), 2)
+    shift = {"experiment": "quenched_shift", "seeds": [1],
+             "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
+             "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
+             "sweep": {"n": [3], "t": list(grid)}}
+    circle = {"experiment": "circle_law", "seeds": [1], "trials": 100,
+              "sweep": {"t": list(grid), "r": [0.05]}}
+    for tree in (shift, circle):
+        assert validate(tree) == ([] if accepted else [f"sweep.t: {want}"])
+    calls = (
+        lambda: rescaled_survival(fm, proc, sample_window(proc, 1, 100), pat, grid),
+        lambda: annealed_survival(fm, proc, pat, grid, n_windows=2, seed=1),
+        lambda: quenched_law_statistic(CircleRDS(), [0, 1] * 10, 0.3, 0.05, grid,
+                                       trials=100, seed=1),
+    )
+    for call in calls:
+        assert _error(call) == want

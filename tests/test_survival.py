@@ -161,15 +161,12 @@ def test_decomposition_identity():
 
 
 def test_survival_curve_invariants_enforced():
-    meta_args = dict(k_grid=[0, 1], meta=None)
-    from hitlaw.survival import CurveMeta
-    meta = CurveMeta("0", "w", 0)
     with pytest.raises(ValueError):
-        SurvivalCurve(k_grid=np.array([0, 1]), values=np.array([0.5, 0.9]), meta=meta)
+        SurvivalCurve(k_grid=np.array([0, 1]), values=np.array([0.5, 0.9]))
     with pytest.raises(ValueError):
-        SurvivalCurve(k_grid=np.array([1, 0]), values=np.array([1.0, 0.5]), meta=meta)
+        SurvivalCurve(k_grid=np.array([1, 0]), values=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
-        SurvivalCurve(k_grid=np.array([0, 1]), values=np.array([1.0, 1.5]), meta=meta)
+        SurvivalCurve(k_grid=np.array([0, 1]), values=np.array([1.0, 1.5]))
 
 
 def test_rescaled_survival_basics(coin_pair):
