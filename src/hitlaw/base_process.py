@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-
 _STOCHASTIC_ATOL = 1e-12
-
-# Cap on the number of cylinder pairs psi_mixing_coefficient may enumerate.
-_ENUMERATION_CAP = 10**7
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -112,10 +107,6 @@ class BaseProcess:
         if self.kind == "bernoulli":
             return int(self.weights.size)
         return int(self.transition.shape[0])
-
-    def symbol_weights(self) -> np.ndarray:
-        """Marginal law of a single symbol (the stationary vector for markov)."""
-        return self.weights if self.kind == "bernoulli" else self.stationary
 
 
 class _WindowBuffer:
@@ -229,10 +220,6 @@ def psi_mixing_coefficient(proc: BaseProcess, gap: int, n: int, m: int) -> float
         raise ValueError("gap must be >= 0")
     if n < 1 or m < 1:
         raise ValueError("cylinder ranks must be >= 1")
-    s = proc.alphabet_size
-    if s ** (n + m) > _ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"{s}^{n + m} cylinder pairs exceed the enumeration cap {_ENUMERATION_CAP}")
     if proc.kind == "bernoulli":
         return 0.0
     power = np.linalg.matrix_power(proc.transition, gap + 1)

@@ -1,22 +1,26 @@
-"""Experiment drivers: sweeps, parallel execution, artifact files.
+"""Experiment driver: one table of experiment kinds, one parallel dispatch,
+artifact files.
 
-Every experiment is a list of independent work items (seed and grid point),
-a top-level worker function, and a reducer that assembles CSV rows and a
-JSON report.  Workers never share state; items are dispatched in a fixed
-order and merged by that order, so the emitted bytes do not depend on the
-worker count.  Floats are formatted with 17 significant digits, which
-round-trips doubles exactly.
+``KINDS`` maps each kind to three functions: ``items(cfg)`` lists the run's
+work items as tuples ``(cfg, *key)`` in a fixed order; the top-level
+``worker(item)`` computes one item exactly and returns ``("ok", key,
+payload)`` or ``("truncated", marker)``; ``reduce(cfg, done)`` builds the
+CSV rows and JSON report from the finished items' ``(key, payload)`` pairs,
+in item order.  ``run_experiment`` dispatches all items of a run at once.
+Workers never share state and results are merged in item order, so the
+emitted bytes do not depend on the worker count.  Floats are formatted with
+17 significant digits, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +47,6 @@ ENTROPY_COLUMNS = ("n", "smb_mean", "smb_stderr", "ow_mean", "ow_stderr",
 SINGULARITY_COLUMNS = ("draw", "match_count", "log_ratio")
 
 
-@dataclass
-class RunResult:
-    artifacts: dict          # filename -> ("csv", header, rows) | ("json", obj)
-    truncated: list          # human-readable truncation markers
-
-
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
@@ -71,6 +69,20 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items, chunksize=1))
 
 
+def _items(cfg: ExperimentConfig, *grids) -> list:
+    """One work item ``(cfg, *key)`` per key of the grids' product."""
+    return [(cfg, *key) for key in itertools.product(*grids)]
+
+
+def _chunks(cfg: ExperimentConfig) -> list:
+    """The draws ``range(cfg.trials)`` as one contiguous chunk per worker.
+    Each draw keeps its own noise keys, and the annealed kernel treats its
+    columns independently, so the split changes no value."""
+    chunks = min(_workers(cfg.threads), cfg.trials)
+    bounds = [cfg.trials * i // chunks for i in range(chunks + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _draw_pattern(cfg: ExperimentConfig, seed, n: int) -> Pattern:
     """A marginal-law target word: fresh noise window plus one fiber draw."""
     pat_window = sample_window(cfg.base, [seed, 1], n)
@@ -82,6 +94,42 @@ def _survival_step_cap(cfg: ExperimentConfig, n: int) -> int:
     return max(1, cfg.operation_budget // (n * cfg.fiber.fiber_alphabet_size))
 
 
+def _reduce_sweep(done, keys):
+    """Group finished sweep items, keyed ``(sweep key, subkey)`` with
+    payloads ``(rows, stat)``, by sweep key in key order: each key's rows,
+    concatenated in item order, and its stats by subkey."""
+    rows = {key: [] for key in keys}
+    stats = {key: {} for key in keys}
+    for (key, sub), (item_rows, stat) in done:
+        rows[key].extend(item_rows)
+        stats[key][sub] = stat
+    return rows, stats
+
+
+def _sweep_report(done, keys, xs, per: str, label, stat: str):
+    """Rows by sweep key, and a report with each key's per-item ``stat``
+    and their median.  With three keys or more it adds the trend of the
+    medians, fitted over the keys that finished an item; when fewer than
+    three did, the trend is null and ``trend_skipped`` says why."""
+    rows, stats = _reduce_sweep(done, keys)
+    per_key, fitted = {}, []
+    for key, x in zip(keys, xs):
+        values = list(stats[key].values())
+        median = float(np.median(values)) if values else float("nan")
+        per_key[label(key)] = {stat: stats[key], f"median_{stat}": median}
+        if values:
+            fitted.append((x, median))
+    report: dict = {per: per_key}
+    if len(keys) >= 3 and len(fitted) >= 3:
+        fit_xs, medians = zip(*fitted)
+        report["trend"] = trend_report(medians, xs=fit_xs).to_json_dict()
+    elif len(keys) >= 3:
+        report["trend"] = None
+        report["trend_skipped"] = (f"{len(fitted)} of {len(keys)} sweep keys "
+                                   "finished an item; a trend needs 3")
+    return rows, report
+
+
 # ----------------------------------------------------------------------
 # quenched_shift
 
@@ -90,46 +138,26 @@ def _quenched_item(args):
     cfg, n, seed = args
     pat = _draw_pattern(cfg, seed, n)
     mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-    k_max = math.floor(cfg.t_grid[-1] / mu_a)
     cap = _survival_step_cap(cfg, n)
-    if k_max > cap:
-        return ("truncated",
-                f"quenched n={n} seed={seed}: k={k_max} over step cap {cap}")
-    window = sample_window(cfg.base, [seed, 0], k_max + n + 1)
+    try:
+        ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, cap)
+    except ResourceLimitError as exc:
+        return ("truncated", f"quenched n={n} seed={seed}: {exc}")
+    window = sample_window(cfg.base, [seed, 0], int(ks[-1]) + n + 1)
     curve = rescaled_survival(cfg.fiber, cfg.base, window, pat, cfg.t_grid,
                               step_cap=cap)
     rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
             for t, k, v in zip(curve.t_grid, curve.k_values, curve.values)]
-    return ("ok", n, seed, rows, ks_to_exponential(curve).sup_abs_err)
+    return ("ok", (n, seed), (rows, ks_to_exponential(curve).sup_abs_err))
 
 
-def _reduce_sweep(results, keys, stat: str):
-    """Rows and per-seed ``stat`` of the finished items grouped by sweep key,
-    in key order, with each key's median; and the truncation markers."""
-    rows, per_key, medians = {}, {}, []
-    for key in keys:
-        done = [out for out in results if out[0] == "ok" and out[1] == key]
-        rows[key] = [row for out in done for row in out[3]]
-        stats = {out[2]: out[4] for out in done}
-        medians.append(float(np.median(list(stats.values()))) if stats
-                       else float("nan"))
-        per_key[key] = {stat: stats, f"median_{stat}": medians[-1]}
-    truncated = sorted({out[1] for out in results if out[0] == "truncated"})
-    return rows, per_key, medians, truncated
-
-
-def run_quenched_shift(cfg: ExperimentConfig) -> RunResult:
-    items = [(cfg, n, seed) for n in cfg.n_grid for seed in cfg.seeds]
-    results = _parallel_map(_quenched_item, items, cfg.threads)
-    rows, per_n, medians, truncated = _reduce_sweep(results, cfg.n_grid,
-                                                    "sup_abs_err")
+def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
+    rows, report = _sweep_report(done, cfg.n_grid, cfg.n_grid, "per_n", str,
+                                 "sup_abs_err")
     artifacts = {f"survival_n{n}.csv": ("csv", SURVIVAL_COLUMNS, rows[n])
                  for n in cfg.n_grid}
-    report = {"per_n": {str(n): per_n[n] for n in cfg.n_grid}}
-    if len(cfg.n_grid) >= 3:
-        report["trend"] = trend_report(medians, xs=list(cfg.n_grid)).to_json_dict()
     artifacts["report.json"] = ("json", report)
-    return RunResult(artifacts=artifacts, truncated=truncated)
+    return artifacts
 
 
 # ----------------------------------------------------------------------
@@ -147,37 +175,33 @@ def _annealed_chunk(args):
         ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, _survival_step_cap(cfg, n))
     except ResourceLimitError as exc:   # every window shares the word's k
         return ("truncated", f"annealed n={n}: {exc}")
-    return ("ok", ks, mu_a, _windows_survival(cfg.fiber, pat, (
+    values = _windows_survival(cfg.fiber, pat, (
         sample_window(cfg.base, [cfg.seeds[0], 0, widx], int(ks[-1]) + n + 1)
-        for widx in windows), ks))
+        for widx in windows), ks)
+    return ("ok", (n, windows), ([values], (ks, mu_a)))
 
 
-def run_annealed_shift(cfg: ExperimentConfig) -> RunResult:
+def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
+    values, words = _reduce_sweep(done, cfg.n_grid)
     artifacts: dict = {}
-    truncated: list = []
-    report: dict = {"per_n": {}}
-    # one contiguous chunk of windows per worker; the kernel's block mode
-    # keeps each window's values independent of the split
-    chunks = min(_workers(cfg.threads), cfg.trials)
-    bounds = [cfg.trials * i // chunks for i in range(chunks + 1)]
+    per_n: dict = {}
     for n in cfg.n_grid:
-        items = [(cfg, n, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        results = _parallel_map(_annealed_chunk, items, cfg.threads)
-        if results[0][0] == "truncated":
-            truncated.append(results[0][1])
-            artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, [])
-            continue
-        curve = _annealed_curve(np.asarray(cfg.t_grid), results[0][1],
-                                np.concatenate([out[3] for out in results]),
-                                results[0][2])
-        rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
-                for t, k, m, se in zip(cfg.t_grid, curve.k_values, curve.mean,
-                                       curve.stderr)]
+        rows = []
+        if values[n]:
+            # every chunk of one word length draws the same word
+            ks, mu_a = next(iter(words[n].values()))
+            # whole chunks, concatenated: the mean's summation order, and so
+            # its last digits, follows the kernel's memory layout
+            curve = _annealed_curve(np.asarray(cfg.t_grid), ks,
+                                    np.concatenate(values[n]), mu_a)
+            rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
+                    for t, k, m, se in zip(cfg.t_grid, curve.k_values,
+                                           curve.mean, curve.stderr)]
+            per_n[str(n)] = {"sup_abs_err": ks_to_exponential(curve).sup_abs_err,
+                             "windows": curve.n_windows}
         artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, rows)
-        report["per_n"][str(n)] = {"sup_abs_err": ks_to_exponential(curve).sup_abs_err,
-                                   "windows": curve.n_windows}
-    artifacts["report.json"] = ("json", report)
-    return RunResult(artifacts=artifacts, truncated=sorted(truncated))
+    artifacts["report.json"] = ("json", {"per_n": per_n})
+    return artifacts
 
 
 # ----------------------------------------------------------------------
@@ -203,28 +227,21 @@ def _ledger_item(args):
            led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
     ok = (led.lemma_lhs <= led.lemma_rhs + 1e-12
           and led.delta_sum <= led.G + led.H + led.K + 1e-12)
-    return ("ok", row, ok)
+    return ("ok", (n, t, seed), (row, ok))
 
 
-def run_ledger(cfg: ExperimentConfig) -> RunResult:
-    items = [(cfg, n, t, seed) for n in cfg.n_grid for t in cfg.t_grid
-             for seed in cfg.seeds]
-    results = _parallel_map(_ledger_item, items, cfg.threads)
-    rows = [out[1] for out in results if out[0] == "ok"]
-    truncated = sorted({out[1] for out in results if out[0] == "truncated"})
-    checks = [out[2] for out in results if out[0] == "ok"]
+def _reduce_ledger(cfg: ExperimentConfig, done) -> dict:
     # the product-vs-exponential sandwich is part of the same verification pass
     rng = make_rng(cfg.seeds[0])
     sandwich_ok = all(verify_sandwich(rng.uniform(0, eps, size=50), eps)
                       for eps in (0.01, 0.1, 0.5) for _ in range(100))
     report = {
-        "rows": len(rows),
-        "bound_violations": int(sum(1 for c in checks if not c)),
+        "rows": len(done),
+        "bound_violations": sum(1 for _, (_, ok) in done if not ok),
         "sandwich_sweep_ok": bool(sandwich_ok),
     }
-    return RunResult(artifacts={"ledger.csv": ("csv", LEDGER_COLUMNS, rows),
-                                "report.json": ("json", report)},
-                     truncated=truncated)
+    return {"ledger.csv": ("csv", LEDGER_COLUMNS, [row for _, (row, _) in done]),
+            "report.json": ("json", report)}
 
 
 # ----------------------------------------------------------------------
@@ -237,27 +254,24 @@ def _entropy_item(args):
                              seed=cfg.seeds[0])
     smb = est.smb_slopes[n]
     ow = est.ow_slopes[n]
-    return (n, float(smb.mean()), float(smb.std(ddof=1) / math.sqrt(smb.size)),
-            float(ow.mean()) if ow.size else float("nan"),
-            float(ow.std(ddof=1) / math.sqrt(ow.size)) if ow.size > 1 else float("nan"),
-            est.censored[n], cfg.trials, est.widened_uncertainty)
+    row = (n, float(smb.mean()), float(smb.std(ddof=1) / math.sqrt(smb.size)),
+           float(ow.mean()) if ow.size else float("nan"),
+           float(ow.std(ddof=1) / math.sqrt(ow.size)) if ow.size > 1 else float("nan"),
+           est.censored[n], cfg.trials)
+    return ("ok", (n,), (row, est.widened_uncertainty))
 
 
-def run_entropy(cfg: ExperimentConfig) -> RunResult:
-    results = _parallel_map(_entropy_item, [(cfg, n) for n in cfg.n_grid],
-                            cfg.threads)
-    rows = [out[:7] for out in results]
-    n_top = max(cfg.n_grid)
-    h_hat = next(out[1] for out in results if out[0] == n_top)
+def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
+    rows = [row for _, (row, _) in done]
+    top = next(row for row in rows if row[0] == max(cfg.n_grid))
     report = {
-        "h_hat": h_hat,
+        "h_hat": top[1],
         "h0": cfg.fiber.h0,
-        "ow_slope_at_largest_n": next(out[3] for out in results if out[0] == n_top),
-        "widened_uncertainty": bool(any(out[7] for out in results)),
+        "ow_slope_at_largest_n": top[3],
+        "widened_uncertainty": bool(any(widened for _, (_, widened) in done)),
     }
-    return RunResult(artifacts={"entropy.csv": ("csv", ENTROPY_COLUMNS, rows),
-                                "entropy.json": ("json", report)},
-                     truncated=[])
+    return {"entropy.csv": ("csv", ENTROPY_COLUMNS, rows),
+            "entropy.json": ("json", report)}
 
 
 # ----------------------------------------------------------------------
@@ -278,67 +292,71 @@ def _circle_item(args):
     rows = [(seed, r, t, s, math.exp(-t), out.delta_r, out.trials,
              out.censored_count)
             for t, s in zip(out.t_grid, out.survival)]
-    return ("ok", r, seed, rows, out.delta_r)
+    return ("ok", (r, seed), (rows, out.delta_r))
 
 
-def run_circle_law(cfg: ExperimentConfig) -> RunResult:
-    items = [(cfg, r, seed) for r in cfg.r_grid for seed in cfg.seeds]
-    results = _parallel_map(_circle_item, items, cfg.threads)
-    rows, per_r, medians, truncated = _reduce_sweep(results, cfg.r_grid, "delta_r")
-    report: dict = {
-        # standing model facts the run relies on but does not re-estimate
-        "assumptions": "sample measures are Lebesgue for every noise sequence "
-                       "(integer multipliers preserve Lebesgue); correlation "
-                       "decay for Lipschitz observables is classical for "
-                       "expanding maps and is not re-measured here",
-        "per_r": {repr(r): per_r[r] for r in cfg.r_grid},
-    }
-    if len(cfg.r_grid) >= 3:
-        report["trend"] = trend_report(
-            medians, xs=[-math.log10(r) for r in cfg.r_grid]).to_json_dict()
-    artifacts = {"circle.csv": ("csv", CIRCLE_COLUMNS,
-                                [row for r in cfg.r_grid for row in rows[r]]),
-                 "report.json": ("json", report)}
-    return RunResult(artifacts=artifacts, truncated=truncated)
+def _reduce_circle(cfg: ExperimentConfig, done) -> dict:
+    rows, report = _sweep_report(done, cfg.r_grid,
+                                 [-math.log10(r) for r in cfg.r_grid],
+                                 "per_r", repr, "delta_r")
+    # standing model facts the run relies on but does not re-estimate
+    report["assumptions"] = ("sample measures are Lebesgue for every noise "
+                             "sequence (integer multipliers preserve Lebesgue); "
+                             "correlation decay for Lipschitz observables is "
+                             "classical for expanding maps and is not "
+                             "re-measured here")
+    return {"circle.csv": ("csv", CIRCLE_COLUMNS,
+                           [row for r in cfg.r_grid for row in rows[r]]),
+            "report.json": ("json", report)}
 
 
 # ----------------------------------------------------------------------
 # singularity
 
 
-def run_singularity(cfg: ExperimentConfig) -> RunResult:
+def _singularity_chunk(args):
+    cfg, draws = args
     n = cfg.n_grid[0]
     seed = cfg.seeds[0]
     rows = []
-    logs = []
-    for i in range(cfg.trials):
+    for i in draws:
         window = sample_window(cfg.base, [seed, i, 0], n)
         # the marginal of the symmetric family is the fair coin, so a
         # marginal-law word is a uniform bit string
         word = Pattern(tuple(make_rng([seed, i, 1]).integers(0, 2, size=n)), 2)
         out = density_ratio(cfg.fiber, cfg.base, window, word)
         rows.append((i, out.match_count, out.log_ratio))
-        logs.append(out.log_ratio)
-    logs_arr = np.asarray(logs)
+    return ("ok", (draws,), rows)
+
+
+def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
+    rows = [row for _, chunk in done for row in chunk]
+    logs = np.asarray([row[2] for row in rows])
     report = {
-        "n": n,
+        "n": cfg.n_grid[0],
         "draws": cfg.trials,
-        "fraction_abs_log_ratio_ge_10": float((np.abs(logs_arr) >= 10.0).mean()),
-        "mean_log_ratio": float(logs_arr.mean()),
-        "std_log_ratio": float(logs_arr.std(ddof=1)),
+        "fraction_abs_log_ratio_ge_10": float((np.abs(logs) >= 10.0).mean()),
+        "mean_log_ratio": float(logs.mean()),
+        "std_log_ratio": float(logs.std(ddof=1)),
     }
-    return RunResult(artifacts={"singularity.csv": ("csv", SINGULARITY_COLUMNS, rows),
-                                "singularity.json": ("json", report)},
-                     truncated=[])
+    return {"singularity.csv": ("csv", SINGULARITY_COLUMNS, rows),
+            "singularity.json": ("json", report)}
 
 
-_RUNNERS = {
-    "quenched_shift": run_quenched_shift,
-    "annealed_shift": run_annealed_shift,
-    "ledger": run_ledger,
-    "entropy": run_entropy,
-    "circle_law": run_circle_law,
-    "singularity": run_singularity,
+# kind -> (items, worker, reduce), in the order of config.EXPERIMENT_KINDS
+KINDS = {
+    "quenched_shift": (lambda cfg: _items(cfg, cfg.n_grid, cfg.seeds),
+                       _quenched_item, _reduce_quenched),
+    "annealed_shift": (lambda cfg: _items(cfg, cfg.n_grid, _chunks(cfg)),
+                       _annealed_chunk, _reduce_annealed),
+    "ledger": (lambda cfg: _items(cfg, cfg.n_grid, cfg.t_grid, cfg.seeds),
+               _ledger_item, _reduce_ledger),
+    "entropy": (lambda cfg: _items(cfg, cfg.n_grid),
+                _entropy_item, _reduce_entropy),
+    "circle_law": (lambda cfg: _items(cfg, cfg.r_grid, cfg.seeds),
+                   _circle_item, _reduce_circle),
+    "singularity": (lambda cfg: _items(cfg, _chunks(cfg)),
+                    _singularity_chunk, _reduce_singularity),
 }
 
 
@@ -352,13 +370,15 @@ def _strict(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> dict:
-    """Write CSV/JSON artifacts plus a manifest with checksums; returns the
-    manifest dict."""
+def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
+                    out_dir: str) -> dict:
+    """Write the artifacts (filename -> ``("csv", header, rows)`` or
+    ``("json", obj)``) plus a manifest with checksums and the truncation
+    markers; returns the manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
     checksums = {}
-    for name in sorted(result.artifacts):
-        kind, *payload = result.artifacts[name]
+    for name in sorted(artifacts):
+        kind, *payload = artifacts[name]
         path = os.path.join(out_dir, name)
         if kind == "csv":
             header, rows = payload
@@ -379,7 +399,7 @@ def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> d
         "config_hash": cfg.config_hash(),
         "code_version": __version__,
         "files": checksums,
-        "truncated": result.truncated,
+        "truncated": truncated,
         "workers": _workers(cfg.threads),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -389,5 +409,10 @@ def write_artifacts(cfg: ExperimentConfig, result: RunResult, out_dir: str) -> d
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
-    result = _RUNNERS[cfg.experiment](cfg)
-    return write_artifacts(cfg, result, out_dir)
+    """Run every work item of the config's kind in one dispatch, reduce the
+    finished ones and write the artifacts; returns the manifest dict."""
+    items, worker, reduce = KINDS[cfg.experiment]
+    results = _parallel_map(worker, items(cfg), cfg.threads)
+    truncated = sorted({out[1] for out in results if out[0] == "truncated"})
+    done = [out[1:] for out in results if out[0] == "ok"]
+    return write_artifacts(cfg, reduce(cfg, done), truncated, out_dir)

@@ -79,9 +79,6 @@ class Pattern:
     def n(self) -> int:
         return len(self.symbols)
 
-    def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
-
 
 def _check_compatible(fm: FiberMeasure, pat: Pattern) -> None:
     if pat.alphabet_size != fm.fiber_alphabet_size:

@@ -33,17 +33,6 @@ class CurveReport:
     sup_abs_err: float
     stderr: np.ndarray | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "t_grid": [float(t) for t in self.t_grid],
-            "observed": [float(v) for v in self.observed],
-            "reference": [float(v) for v in self.reference],
-            "sup_abs_err": float(self.sup_abs_err),
-        }
-        if self.stderr is not None:
-            out["stderr"] = [float(v) for v in self.stderr]
-        return out
-
 
 def ks_to_exponential(curve, t_grid=None) -> CurveReport:
     """Sup distance between an observed survival curve and exp(-t).

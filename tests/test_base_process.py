@@ -6,7 +6,6 @@ import pytest
 
 from hitlaw.base_process import (BaseProcess, base_cylinder_prob, make_rng,
                                  psi_mixing_coefficient, sample_window)
-from hitlaw.errors import ResourceLimitError
 
 
 def test_bernoulli_window_shape_and_range():
@@ -133,9 +132,3 @@ def test_psi_mixing_second_eigenvalue_decay(markov_proc):
     assert psi20 <= psi0 * lam**20 * (1 + 1e-9)
     values = [psi_mixing_coefficient(markov_proc, g, 1, 1) for g in range(31)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_psi_mixing_enumeration_cap():
-    proc = BaseProcess.bernoulli([0.25] * 4)
-    with pytest.raises(ResourceLimitError):
-        psi_mixing_coefficient(proc, 0, 6, 6)

@@ -2,6 +2,7 @@ import copy
 import datetime
 import json
 import os
+import re
 
 import pytest
 import yaml
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitlaw.cli import main
-from hitlaw.config import build_config, validate
-from hitlaw.experiments import run_experiment
+from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
+from hitlaw.experiments import KINDS, run_experiment
 
 
 def _tiny_tree(**overrides):
@@ -85,6 +86,9 @@ def test_cli_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
     assert "quenched_shift" in out and "circle_law" in out
+    # the listed kinds are the dispatched ones, in the same order
+    assert tuple(KINDS) == EXPERIMENT_KINDS
+    assert out.split() == list(KINDS)
 
 
 def test_cli_run_artifact_shape(tmp_path):
@@ -133,8 +137,14 @@ def test_run_budget_truncation_exit_code(tmp_path):
     code = main(["run", "--config", cfg, "--out", out_dir])
     assert code == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["truncated"]
-    assert any("cap" in marker for marker in manifest["truncated"])
+    # one marker per item, worded as the annealed ones: the item, then the
+    # step-cap refusal of survival._rescaled_k
+    assert [m.split(":")[0] for m in manifest["truncated"]] == [
+        "quenched n=2 seed=1", "quenched n=2 seed=2",
+        "quenched n=3 seed=1", "quenched n=3 seed=2"]
+    for marker in manifest["truncated"]:
+        assert re.fullmatch(r"quenched n=\d seed=\d: rescaled survival needs "
+                            r"k=\d+ steps at t=0\.5, over the step cap 1", marker)
 
 
 def test_run_ledger_and_singularity_kinds(tmp_path):
@@ -210,22 +220,41 @@ def test_shipped_configs_validate():
         assert validate(tree) == [], name
 
 
-def test_annealed_and_ledger_byte_identical_across_worker_counts(tmp_path):
+def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     # 7 windows split into 1, 2 and 3 chunks; n=8 runs long enough for
-    # the kernel's block jumps
+    # the kernel's block jumps, and both word lengths share one pool
     annealed = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=7,
                           sweep={"n": [4, 8],
                                  "t": {"start": 0.0, "stop": 5.0, "step": 0.5}})
+    # n=12 is over the step cap and n=2 is not, in the same pool
+    annealed_truncated = _tiny_tree(
+        experiment="annealed_shift", seeds=[4], trials=5, operation_budget=10000,
+        sweep={"n": [2, 12], "t": [0.0, 2.0, 5.0]})
     ledger = _tiny_tree(experiment="ledger", seeds=[1, 2, 3],
                         sweep={"n": [2, 4], "t": [0.5, 1.0]})
-    for label, tree in (("annealed", annealed), ("ledger", ledger)):
-        outs = []
+    quenched = _tiny_tree(seeds=[1, 2, 3], sweep={"n": [2, 3, 4], "t": [0.0, 1.0]})
+    entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=10,
+                         sweep={"n": [4, 6]})
+    singularity = _tiny_tree(experiment="singularity", seeds=[3], trials=7,
+                             sweep={"n": [20]})
+    circle = dict(_CIRCLE, seeds=[1, 2],
+                  sweep={"t": [0.0, 0.5, 1.0], "r": [0.2, 0.1, 0.05]})
+    for label, tree in (("annealed", annealed),
+                        ("annealed_truncated", annealed_truncated),
+                        ("ledger", ledger), ("quenched", quenched),
+                        ("entropy", entropy), ("singularity", singularity),
+                        ("circle", circle)):
+        outs, truncated = [], []
         for threads in (1, 2, 3):
             out_dir = tmp_path / f"{label}{threads}"
-            run_experiment(build_config(dict(tree, threads=threads)), str(out_dir))
+            manifest = run_experiment(build_config(dict(tree, threads=threads)),
+                                      str(out_dir))
             outs.append({f: (out_dir / f).read_bytes()
                          for f in os.listdir(out_dir) if f != "manifest.json"})
+            truncated.append(manifest["truncated"])
         assert outs[0] == outs[1] == outs[2], label
+        assert truncated[0] == truncated[1] == truncated[2], label
+        assert bool(truncated[0]) == (label == "annealed_truncated"), label
 
 
 def test_threads_zero_follows_cpu_affinity(tmp_path, monkeypatch):
@@ -280,6 +309,9 @@ def test_report_of_a_sweep_key_with_no_finished_item_is_strict_json(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["per_n"]["14"] == {"sup_abs_err": {}, "median_sup_abs_err": None}
     assert report["per_n"]["2"]["median_sup_abs_err"] > 0
+    # two word lengths finished: too few for a trend, and no verdict from n=14
+    assert report["trend"] is None
+    assert report["trend_skipped"].startswith("2 of 3 sweep keys")
 
 
 def test_annealed_over_budget_exits_2_with_one_marker_per_word_length(tmp_path):
