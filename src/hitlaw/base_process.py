@@ -114,12 +114,13 @@ class _WindowBuffer:
 
     Extension draws from the stored generator, so it is deterministic for a
     given seed and independent of how the extensions are interleaved.
+    Symbols are kept in the smallest unsigned dtype that holds the alphabet.
     """
 
     def __init__(self, proc: BaseProcess, rng: np.random.Generator, length: int):
         self.proc = proc
         self.rng = rng
-        self.symbols = np.empty(0, dtype=np.int64)
+        self.symbols = np.empty(0, dtype=np.min_scalar_type(proc.alphabet_size - 1))
         if length > 0:
             self.extend_to(length)
 
@@ -144,14 +145,15 @@ class _WindowBuffer:
             for i in range(start, extra):
                 state = int(np.searchsorted(cum[state], u[i], side="right"))
                 block[i] = state
-        self.symbols = np.concatenate([self.symbols, np.asarray(block, dtype=np.int64)])
+        self.symbols = np.concatenate([self.symbols, block.astype(self.symbols.dtype)])
 
 
 class BaseWindow:
-    """A finite stretch of one noise realization, starting at ``start_index``.
+    """One noise realization seen from ``start_index`` onward.
 
+    Every read draws the symbols it needs, so no caller sizes a window.
     ``shifted(k)`` returns a view of the same realization k steps later;
-    views share the buffer, so extending any of them extends all.
+    views share the buffer, so a read through any of them extends all.
     """
 
     def __init__(self, buf: _WindowBuffer, start_index: int = 0):
@@ -159,22 +161,17 @@ class BaseWindow:
         self.start_index = start_index
 
     def __len__(self) -> int:
+        """Symbols drawn so far from this window's start."""
         return max(0, self._buf.symbols.size - self.start_index)
 
     def __getitem__(self, i: int) -> int:
-        if i < 0 or self.start_index + i >= self._buf.symbols.size:
-            raise ValueError(f"window covers only {len(self)} symbols, asked for index {i}")
-        return int(self._buf.symbols[self.start_index + i])
+        # a negative i reads an empty prefix, so it raises IndexError
+        return int(self.prefix(i + 1)[i])
 
     def prefix(self, length: int) -> np.ndarray:
-        """Symbols 0..length-1 of this window (no copy)."""
-        if length > len(self):
-            raise ValueError(f"window covers only {len(self)} symbols, asked for {length}")
-        return self._buf.symbols[self.start_index:self.start_index + length]
-
-    def ensure(self, length: int) -> None:
-        """Extend the underlying realization so this window covers ``length`` symbols."""
+        """Symbols 0..length-1 of this window (no copy), drawn as needed."""
         self._buf.extend_to(self.start_index + length)
+        return self._buf.symbols[self.start_index:self.start_index + length]
 
     def shifted(self, k: int) -> "BaseWindow":
         if k < 0:
@@ -183,7 +180,9 @@ class BaseWindow:
 
 
 def sample_window(proc: BaseProcess, seed, length: int) -> BaseWindow:
-    """Draw a stationary window of ``length`` symbols, reproducible from ``seed``."""
+    """A stationary window reproducible from ``seed``, with its first
+    ``length`` symbols drawn; later reads draw the rest of the same
+    realization, however they are split."""
     if length < 1:
         raise ValueError("window length must be >= 1")
     buf = _WindowBuffer(proc, make_rng(seed), length)

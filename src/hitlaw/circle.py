@@ -130,11 +130,14 @@ class BallTarget:
     def measure(self) -> float:
         return min(2.0 * self.radius, 1.0)
 
+    def horizon(self, t: float) -> int:
+        """k(t) = floor(t / measure): the map steps a survival at t reads."""
+        return math.floor(t / self.measure)
+
 
 def _bits_sequence(bits, steps: int) -> list:
     """Normalize the noise bits to a plain list of 0/1 of length >= steps."""
     if isinstance(bits, BaseWindow):
-        bits.ensure(steps)
         arr = bits.prefix(steps)
     else:
         arr = np.asarray(bits, dtype=np.int64)
@@ -280,7 +283,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
         raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
     t = _check_t_grid(t_grid)
     target = BallTarget(center=y, radius=r)
-    ks = np.array([math.floor(ti / target.measure) for ti in t], dtype=np.int64)
+    ks = np.array([target.horizon(ti) for ti in t], dtype=np.int64)
     k_max = int(ks[-1])
     scan_cap = k_max if cap is None else int(cap)
     widened = scan_cap < k_max

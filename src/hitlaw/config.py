@@ -204,7 +204,7 @@ def _parse(tree: dict) -> tuple:
             v.append("circle.precision_bits: must be an integer")
         elif bits is not None and not v:   # the horizon needs valid t and r
             try:
-                horizon = math.floor(t_grid[-1] / (2.0 * r_grid[-1]))
+                horizon = BallTarget(0.0, r_grid[-1]).horizon(t_grid[-1])
                 need = required_bits(horizon, rds.max_multiplier)
             except OverflowError:   # a horizon that no budget covers
                 horizon = need = math.inf

@@ -137,15 +137,12 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 def _quenched_item(args):
     cfg, n, seed = args
     pat = _draw_pattern(cfg, seed, n)
-    mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-    cap = _survival_step_cap(cfg, n)
+    window = sample_window(cfg.base, [seed, 0], n)
     try:
-        ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, cap)
+        curve = rescaled_survival(cfg.fiber, cfg.base, window, pat, cfg.t_grid,
+                                  step_cap=_survival_step_cap(cfg, n))
     except ResourceLimitError as exc:
         return ("truncated", f"quenched n={n} seed={seed}: {exc}")
-    window = sample_window(cfg.base, [seed, 0], int(ks[-1]) + n + 1)
-    curve = rescaled_survival(cfg.fiber, cfg.base, window, pat, cfg.t_grid,
-                              step_cap=cap)
     rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
             for t, k, v in zip(curve.t_grid, curve.k_values, curve.values)]
     return ("ok", (n, seed), (rows, ks_to_exponential(curve).sup_abs_err))
@@ -176,8 +173,7 @@ def _annealed_chunk(args):
     except ResourceLimitError as exc:   # every window shares the word's k
         return ("truncated", f"annealed n={n}: {exc}")
     values = _windows_survival(cfg.fiber, pat, (
-        sample_window(cfg.base, [cfg.seeds[0], 0, widx], int(ks[-1]) + n + 1)
-        for widx in windows), ks)
+        sample_window(cfg.base, [cfg.seeds[0], 0, widx], n) for widx in windows), ks)
     return ("ok", (n, windows), ([values], (ks, mu_a)))
 
 
@@ -217,7 +213,7 @@ def _ledger_item(args):
         return ("truncated", f"ledger n={n} t={t} seed={seed}: k=0, t too small")
     g = min(gap_schedule(n, cfg.fiber.h0), k)
     jmax = max(cfg.jmax_factor * k, g)
-    window = sample_window(cfg.base, [seed, 0], k + g + jmax + n + 1)
+    window = sample_window(cfg.base, [seed, 0], n)
     try:
         led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g, jmax=jmax,
                              op_budget=cfg.operation_budget)
@@ -281,8 +277,7 @@ def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
 def _circle_item(args):
     cfg, r, seed = args
     rds = CircleRDS(multipliers=cfg.multipliers)
-    k_max = math.floor(cfg.t_grid[-1] / (2.0 * r))
-    bits = sample_window(rds.base, [seed, 0], max(k_max, 1))
+    bits = sample_window(rds.base, [seed, 0], 1)
     y = float(make_rng([seed, 1]).random())
     try:
         out = quenched_law_statistic(rds, bits, y, r, cfg.t_grid,

@@ -104,9 +104,6 @@ def fiber_cylinder_measure(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     _check_compatible(fm, pat)
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    if offset + pat.n > len(window):
-        raise ValueError(
-            f"window covers {len(window)} symbols; need offset {offset} + {pat.n}")
     rows = window.prefix(offset + pat.n)[offset:]
     return float(np.prod(fm.W[rows, list(pat.symbols)]))
 
@@ -183,8 +180,6 @@ def density_ratio(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
             "and fiber matrix [[p, 1-p], [1-p, p]]")
     _check_compatible(fm, pat)
     n = pat.n
-    if n > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {n}")
     p = float(fm.W[0, 0])
     if abs(p - 0.5) <= _ATOL:
         warnings.warn("p = 1/2 makes the sample and marginal measures equal; "
@@ -206,8 +201,6 @@ def sample_fiber_prefix(fm: FiberMeasure, window: BaseWindow, length: int,
         raise ValueError("length must be >= 0")
     if length == 0:
         return np.empty(0, dtype=np.int64)
-    if length > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {length}")
     rows = window.prefix(length)
     cum = np.cumsum(fm.W, axis=1)[rows]          # (length, b)
     u = rng.random(length)

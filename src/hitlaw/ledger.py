@@ -88,8 +88,9 @@ def _sliding_cylinder_measures(fm: FiberMeasure, symbols: np.ndarray,
 
 
 def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
-                 jmax: int, g: int | None):
-    """Batched exact evaluation of the per-offset discrepancies.
+                 jmax: int, g: int | None, op_budget: int | None):
+    """Batched exact evaluation of the per-offset discrepancies, refused
+    before any read when its recursions cost more than ``op_budget``.
 
     Returns (mu, delta, both sides of the recursion bound, the one-miss
     product) and, when a gap g is given, also (conditional mass at g,
@@ -97,6 +98,15 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     """
     n = pat.n
     gap = g or 0
+    # column-reads times states of the survival, conditional and, with a
+    # gap, delayed-mask recursions below
+    price = n * ((k + gap + 1) * (n - 1 + jmax) + k * jmax)
+    if g is not None:
+        price += (n + 1) * k * (g + jmax)
+    if op_budget is not None and price > op_budget:
+        raise ResourceLimitError(
+            f"ledger recursions need {price} column-state reads, over the "
+            f"budget {op_budget}")
     symbols = window.prefix(k + gap + jmax + n)
     aut = build_automaton(pat)
     masked = masked_step_matrices(fm, aut)
@@ -154,20 +164,15 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     return mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup
 
 
-def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float,
-             op_budget: int | None) -> int:
+def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float) -> int:
     """k = floor(t / mu(A)) for a word on the fiber alphabet at t > 0, with
-    mu(A) the noise-averaged cylinder measure, priced against the budget."""
+    mu(A) the noise-averaged cylinder measure."""
     _check_compatible(fm, pat)
     if t <= 0:
         raise ValueError("t must be positive")
     k = math.floor(t / marginal_cylinder_measure(fm, proc, pat))
     if k < 1:
         raise ValueError(f"t={t} gives k=0; nothing to compute")
-    if op_budget is not None and k * pat.n * pat.alphabet_size > op_budget:
-        raise ResourceLimitError(
-            f"ledger computation needs k*n*b = {k * pat.n * pat.alphabet_size} "
-            f"operations, over the budget {op_budget}")
     return k
 
 
@@ -208,10 +213,13 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     cylinder of ``pat`` at horizon t with gap g.
 
     k = floor(t / mu(A)) with mu(A) the noise-averaged cylinder measure;
-    requires 1 <= g <= k and a window covering k + g + jmax + n symbols.
-    jmax defaults to 4k.
+    requires 1 <= g <= k, and jmax defaults to 4k.  The recursions read
+    noise symbols 0 .. k + g + jmax + n - 1, drawing those the window lacks.
+    ``op_budget`` bounds their column-reads times automaton states,
+    n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax); a ledger priced over
+    it raises ResourceLimitError before reading any noise.
     """
-    k = _horizon(fm, proc, pat, t, op_budget)
+    k = _horizon(fm, proc, pat, t)
     if not 1 <= g <= k:
         raise ValueError(f"need 1 <= g <= k; got g={g}, k={k}")
     jmax = 4 * k if jmax is None else jmax
@@ -219,7 +227,7 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
         raise ValueError("jmax must cover both k and g")
 
     mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup = _delta_terms(
-        fm, window, pat, k, jmax, g)
+        fm, window, pat, k, jmax, g, op_budget)
     m_sum = math.fsum(mu)
     return ErrorLedger(
         n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
@@ -243,13 +251,15 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
     Returns (lhs, rhs, passed): lhs is |survival(k) - prod(1 - mu_i)|, rhs
     the discrepancy-weighted prefix-product sum.  jmax defaults to k, which
     already certifies the bound (the unrolled recursion consults j < k).
+    ``op_budget`` prices the recursions as in :func:`compute_ledger`, with
+    no gap terms.
     """
-    k = _horizon(fm, proc, pat, t, op_budget)
+    k = _horizon(fm, proc, pat, t)
     jmax = k if jmax is None else jmax
     if jmax < k:
         raise ValueError("jmax must be >= k")
 
-    (lhs, rhs) = _delta_terms(fm, window, pat, k, jmax, None)[2]
+    (lhs, rhs) = _delta_terms(fm, window, pat, k, jmax, None, op_budget)[2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

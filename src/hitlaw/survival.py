@@ -125,6 +125,7 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
     columns, reads = sym.shape
     s, states = mats.shape[0], mats.shape[1]
     if record is None:
+        sym = sym.astype(np.intp)   # so the per-read index sum needs no cast
         stacked = mats.reshape(s * states, states).T
         first_row = np.arange(columns) * s   # row of column c's symbol 0
         ones = np.ones(states)
@@ -161,15 +162,12 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
 def _windows_survival(fm: FiberMeasure, pat: Pattern, windows,
                       k_grid: np.ndarray) -> np.ndarray:
     """Exact P(no occurrence starts at coordinates 1..k) at each k of the
-    nondecreasing ``k_grid``, for every window of an iterable at once; each
-    window is kept only as compact symbol codes once drawn.  Shape
-    (windows, k_grid size)."""
+    nondecreasing ``k_grid``, for every window of an iterable at once.
+    Shape (windows, k_grid size)."""
     n = pat.n
     # survival at k is decided after reading coordinates 1 .. k+n-1
     record = np.where(k_grid == 0, 0, k_grid + n - 1)
-    codes = np.min_scalar_type(fm.base_alphabet_size - 1)
-    rows = np.stack([w.prefix(int(record[-1]) + 1)[1:].astype(codes)
-                     for w in windows])
+    rows = np.stack([w.prefix(int(record[-1]) + 1)[1:] for w in windows])
     return _lockstep(masked_step_matrices(fm, build_automaton(pat)), rows,
                      np.tile(np.eye(n)[0], (rows.shape[0], 1)), record).T
 
@@ -202,17 +200,13 @@ class SurvivalCurve:
         return float(self.values[idx])
 
 
-def _curve_grid(fm: FiberMeasure, window: BaseWindow, pat: Pattern, offset: int,
-                k_max: int, k_grid) -> np.ndarray:
+def _curve_grid(fm: FiberMeasure, pat: Pattern, offset: int, k_max: int,
+                k_grid) -> np.ndarray:
     """The k grid (default 0..k_max) of an exact curve seen from ``offset``,
-    once the word fits the fiber and the window covers
-    offset .. offset + k_max + n - 1."""
+    once the word fits the fiber."""
     _check_compatible(fm, pat)
     if offset < 0 or k_max < 0:
         raise ValueError("offset and k_max must be >= 0")
-    need = offset + k_max + pat.n
-    if need > len(window):
-        raise ValueError(f"window covers {len(window)} symbols; need {need}")
     if k_grid is None:
         return np.arange(k_max + 1, dtype=np.int64)
     grid = np.asarray(k_grid, dtype=np.int64)
@@ -229,10 +223,10 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     """Exact P(no occurrence starts at coordinates 1..k) for each k on the
     grid (default 0..k_max), under the noise seen from ``offset``.
 
-    Cost O(k_max * n * b); the window must cover
-    offset .. offset + k_max + n - 1.
+    Cost O(k_max * n * b); the curve reads noise symbols
+    offset .. offset + k_max + n - 1, drawing those the window lacks.
     """
-    grid = _curve_grid(fm, window, pat, offset, k_max, k_grid)
+    grid = _curve_grid(fm, pat, offset, k_max, k_grid)
     values = _windows_survival(fm, pat, [window.shifted(offset)], grid)[0]
     return SurvivalCurve(k_grid=grid, values=values)
 
@@ -248,7 +242,7 @@ def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Patte
     word's longest proper border, i.e. the state reached after reading the
     word, and the recursion runs from coordinate n onward.
     """
-    grid = _curve_grid(fm, window, pat, offset, k_max, k_grid)
+    grid = _curve_grid(fm, pat, offset, k_max, k_grid)
     n = pat.n
     weight = fiber_cylinder_measure(fm, window, pat, offset)
     aut = build_automaton(pat)
@@ -317,7 +311,6 @@ def _scan_hitting(fm: FiberMeasure, window: BaseWindow, aut: PatternAutomaton,
     last_coord = cap + n - 1
     while coord <= last_coord:
         end = min(coord + _SCAN_BLOCK, last_coord + 1)
-        window.ensure(end)
         rows = window.prefix(end)[coord:]
         u = rng.random(len(rows))
         xs = (u[:, np.newaxis] > cum[rows]).sum(axis=1).tolist()
@@ -375,8 +368,7 @@ def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
     t = _check_t_grid(t_grid)
     mu_a = marginal_cylinder_measure(fm, proc, pat)
     ks = _rescaled_k(t, mu_a, step_cap)
-    length = int(ks[-1]) + pat.n + 1
-    values = _windows_survival(fm, pat, (sample_window(proc, [seed, i], length)
+    values = _windows_survival(fm, pat, (sample_window(proc, [seed, i], pat.n)
                                          for i in range(n_windows)), ks)
     return _annealed_curve(t, ks, values, mu_a)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitlaw.base_process import (BaseProcess, base_cylinder_prob, make_rng,
                                  psi_mixing_coefficient, sample_window)
@@ -28,16 +30,29 @@ def test_zero_length_window_rejected():
         sample_window(proc, seed=1, length=0)
 
 
-def test_window_reproducible_and_extension_deterministic():
-    proc = BaseProcess.markov([[0.9, 0.1], [0.2, 0.8]])
-    a = sample_window(proc, seed=42, length=50)
-    b = sample_window(proc, seed=42, length=50)
-    assert np.array_equal(a.prefix(50), b.prefix(50))
-    # extending in different increments gives the same realization
-    a.ensure(200)
-    b.ensure(120)
-    b.ensure(200)
-    assert np.array_equal(a.prefix(200), b.prefix(200))
+_SPLIT_PROCESSES = (BaseProcess.bernoulli([0.3, 0.7]),
+                    BaseProcess.bernoulli([0.2, 0.3, 0.5]),
+                    BaseProcess.markov([[0.9, 0.1], [0.2, 0.8]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(proc=st.sampled_from(_SPLIT_PROCESSES), seed=st.integers(0, 2**32 - 1),
+       first=st.integers(1, 40), steps=st.lists(st.integers(1, 300), max_size=6))
+def test_window_reproducible_and_extension_deterministic(proc, seed, first, steps):
+    # reads in pieces, by prefix or by index, draw what one read of the
+    # whole draws: callers may pass any window length
+    whole = first + sum(steps)
+    pieces = sample_window(proc, seed, first)
+    stop = first
+    for i, step in enumerate(steps):
+        stop += step
+        if i % 2:
+            pieces[stop - 1]
+        else:
+            pieces.prefix(stop)
+    assert len(pieces) == whole
+    assert np.array_equal(pieces.prefix(whole),
+                          sample_window(proc, seed, whole).prefix(whole))
 
 
 def test_shifted_window_shares_realization():
@@ -46,7 +61,7 @@ def test_shifted_window_shares_realization():
     view = win.shifted(7)
     assert len(view) == 23
     assert view[0] == win[7]
-    view.ensure(40)   # extends the shared buffer
+    view.prefix(40)   # extends the shared buffer
     assert len(win) == 47
 
 

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitlaw.circle import CircleRDS, quenched_law_statistic, required_bits
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
 from hitlaw.experiments import KINDS, run_experiment
@@ -65,6 +66,14 @@ def test_validate_circle_precision_budget():
     assert len(problems) == 1 and "bits" in problems[0]
     # the required number of bits is named in the message
     assert any(ch.isdigit() for ch in problems[0].split(">=")[1])
+    # validate reads the horizon the circle law scans to, at the smallest r
+    law = quenched_law_statistic(CircleRDS((2, 3)), [0], 0.5, 0.001,
+                                 tree["sweep"]["t"], trials=100, seed=1, cap=1)
+    need = required_bits(int(law.k_values[-1]), 3)
+    tree["circle"]["precision_bits"] = need
+    assert validate(tree) == []
+    tree["circle"]["precision_bits"] = need - 1
+    assert [p.split(":")[0] for p in validate(tree)] == ["circle.precision_bits"]
 
 
 def test_unknown_kind_short_circuits():

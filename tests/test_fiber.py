@@ -9,6 +9,9 @@ from hitlaw.errors import UnsupportedConfigError
 from hitlaw.fiber import (FiberMeasure, Pattern, binary_symmetric_model,
                           density_ratio, fiber_cylinder_measure,
                           marginal_cylinder_measure, sample_fiber_prefix)
+from hitlaw.ledger import compute_ledger, entrance_sum, hits_sum
+from hitlaw.survival import (conditional_return_survival, quenched_survival,
+                             rescaled_survival)
 
 from conftest import random_base, random_fiber_measure
 
@@ -75,11 +78,34 @@ def test_fiber_cylinder_shift_equivariance():
             fiber_cylinder_measure(fm, win.shifted(k), pat, offset=0), abs=0)
 
 
-def test_window_too_short_raises(coin_pair):
-    _, fm = coin_pair
-    win = _FixedWindow([0, 1])
-    with pytest.raises(ValueError):
-        fiber_cylinder_measure(fm, win, Pattern((0, 0, 0), 2))
+# each exact entry point, as one read of a window: (fm, proc, window, word)
+_EXACT_READS = {
+    "quenched_survival": lambda fm, proc, w, pat: quenched_survival(
+        fm, w, pat, offset=2, k_max=40).values.tolist(),
+    "conditional_return_survival": lambda fm, proc, w, pat:
+        conditional_return_survival(fm, w, pat, offset=3, k_max=30).values.tolist(),
+    "rescaled_survival": lambda fm, proc, w, pat: rescaled_survival(
+        fm, proc, w, pat, [0.0, 0.5, 1.0, 2.0]).values.tolist(),
+    "compute_ledger": lambda fm, proc, w, pat: compute_ledger(
+        fm, proc, w, pat, t=1.0, g=2),
+    "hits_sum": lambda fm, proc, w, pat: hits_sum(fm, w, pat, 25),
+    "entrance_sum": lambda fm, proc, w, pat: entrance_sum(fm, w, pat, 25, 3),
+    "fiber_cylinder_measure": lambda fm, proc, w, pat: fiber_cylinder_measure(
+        fm, w, pat, offset=5),
+    "sample_fiber_prefix": lambda fm, proc, w, pat: sample_fiber_prefix(
+        fm, w, 20, make_rng(4)).tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_EXACT_READS))
+def test_short_window_reads_like_a_presized_one(entry, markov_proc):
+    # a window draws the noise it is read for, so a 1-symbol window gives
+    # exactly what a window pre-sized past every read gives
+    fm = FiberMeasure([[0.3, 0.7], [0.7, 0.3]])
+    pat = Pattern((0, 1, 1), 2)
+    read = _EXACT_READS[entry]
+    short = read(fm, markov_proc, sample_window(markov_proc, 11, 1), pat)
+    assert short == read(fm, markov_proc, sample_window(markov_proc, 11, 2000), pat)
 
 
 def test_marginal_binary_symmetric_is_fair_coin(coin_pair):

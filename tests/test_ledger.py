@@ -177,6 +177,28 @@ def test_ledger_budget():
         compute_ledger(fm, proc, window, pat, t=1.0, g=2, jmax=300, op_budget=100)
 
 
+def test_ledger_price_counts_every_recursion(coin_pair):
+    # the price is column-reads times states of the survival, conditional
+    # and delayed-mask recursions,
+    # n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax); the marginal of the
+    # symmetric family is the fair coin, so k = floor(t 2**n)
+    proc, fm = coin_pair
+    window = sample_window(proc, 5, 1)
+    # n=8, t=2: k=512 and jmax=2048, priced 26,301,608 (k*n*b would be 8,192)
+    with pytest.raises(ResourceLimitError, match="need 26301608 "):
+        compute_ledger(fm, proc, window, Pattern((0, 1) * 4, 2), t=2.0, g=2,
+                       op_budget=10**6)
+    # n=3, t=1: k=8, jmax=32 prices at 2,978; the bound alone (jmax=k, no
+    # gap terms) at 462
+    pat = Pattern((0, 1, 1), 2)
+    compute_ledger(fm, proc, window, pat, t=1.0, g=2, op_budget=2978)
+    with pytest.raises(ResourceLimitError):
+        compute_ledger(fm, proc, window, pat, t=1.0, g=2, op_budget=2977)
+    verify_recursion_bound(fm, proc, window, pat, t=1.0, op_budget=462)
+    with pytest.raises(ResourceLimitError):
+        verify_recursion_bound(fm, proc, window, pat, t=1.0, op_budget=461)
+
+
 def test_hits_sum_and_entrance_sum_match_public_ops(coin_pair):
     proc, fm = coin_pair
     pat = Pattern((0, 1, 0), 2)
