@@ -121,6 +121,10 @@ class _WindowBuffer:
         self.proc = proc
         self.rng = rng
         self.symbols = np.empty(0, dtype=np.min_scalar_type(proc.alphabet_size - 1))
+        if proc.kind == "bernoulli":
+            # the draw rng.choice(size, p=weights) makes, with p checked once
+            self._cdf = np.cumsum(proc.weights)
+            self._cdf /= self._cdf[-1]
         if length > 0:
             self.extend_to(length)
 
@@ -130,7 +134,7 @@ class _WindowBuffer:
             return
         proc, rng = self.proc, self.rng
         if proc.kind == "bernoulli":
-            block = rng.choice(proc.alphabet_size, size=extra, p=proc.weights)
+            block = self._cdf.searchsorted(rng.random(extra), side="right")
         else:
             cum = np.cumsum(proc.transition, axis=1)
             u = rng.random(extra)

@@ -13,6 +13,24 @@ times log2(multiplier) stays well below B.  Asking an orbit to outrun the
 budget raises; it never silently degrades.  Exact rational seeds (period
 probes, oracle configurations) carry no budget since their arithmetic
 never loses information.
+
+The start points of a hitting law share one denominator 2**B and are
+scanned together as a filtered exact predicate: a cheap window test
+decides a step whenever it can certify the answer, and exact arithmetic
+decides the rest.  The top W = ``_WINDOW_BITS`` bits A of every live
+numerator sit in the high bits of one uint64 array, so a step
+A <- m A (mod 2**W) is one numpy product whose overflow wraps exactly.
+After j steps of a block with multiplier product P, the exact numerator
+lies in [A u, A u + P (u - 1)] (mod 2**B), u = 2**(B - W).  A trial whose
+interval lies inside the ball is a hit, one whose interval meets no point
+of the ball is a miss, and one whose interval straddles an edge of the
+ball is decided exactly as (P N) mod 2**B from its block-start numerator
+N.  A block ends before P passes ``_BLOCK_PRODUCT`` (20 steps for
+multipliers (2, 3)); then each survivor's numerator advances once by P
+and its window is read afresh.  When B <= W the window is the whole
+numerator and no step falls back.  A single point, whatever its
+denominator, is scanned one exact step at a time, which is faster for one
+point.
 """
 
 from __future__ import annotations
@@ -29,6 +47,11 @@ from .errors import PrecisionBudgetError
 from .stats import _check_t_grid, ks_to_exponential
 
 _GUARD_BITS = 64
+
+# Top numerator bits the block scan keeps per trial in one uint64 word.
+_WINDOW_BITS = 62
+# A block ends before its multiplier product passes this.
+_BLOCK_PRODUCT = 1 << 32
 
 # Fewest start points quenched_law_statistic accepts for one survival curve.
 MIN_LAW_TRIALS = 100
@@ -67,9 +90,7 @@ class CirclePoint:
     def uniform(cls, rng: np.random.Generator, precision_bits: int) -> "CirclePoint":
         if precision_bits < 1:
             raise ValueError("precision_bits must be >= 1")
-        nbytes = (precision_bits + 7) // 8
-        raw = int.from_bytes(rng.bytes(nbytes), "big")
-        num = raw >> (nbytes * 8 - precision_bits)
+        (num,) = _uniform_numerators(rng, precision_bits, 1)
         return cls(num, 1 << precision_bits, budget_bits=precision_bits)
 
     @property
@@ -78,6 +99,22 @@ class CirclePoint:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
+
+
+def _uniform_numerators(rng: np.random.Generator, precision_bits: int,
+                        count: int) -> list:
+    """``count`` uniform ``precision_bits``-bit numerators from one draw,
+    the same ones ``count`` calls of ``rng.bytes`` would give: a call reads
+    whole little-endian uint32 words, and the uint32 stream does not depend
+    on how it is split into calls.  The words are read in place, so the
+    draw holds one copy of its bytes."""
+    nbytes = (precision_bits + 7) // 8
+    stride = 4 * ((nbytes + 3) // 4)
+    words = rng.integers(0, 2**32, size=count * stride // 4, dtype=np.uint32)
+    raw = memoryview(words.astype("<u4", copy=False)).cast("B")
+    drop = nbytes * 8 - precision_bits
+    return [int.from_bytes(raw[i:i + nbytes], "big") >> drop
+            for i in range(0, count * stride, stride)]
 
 
 def circle_distance(point: CirclePoint, y) -> Fraction:
@@ -209,11 +246,15 @@ def _ball_segments(target: BallTarget, denominator: int):
     return [(lo, hi)]
 
 
-def _scan_to_ball(num: int, den: int, bits: list, muls: tuple, segments,
-                  cap: int) -> int | None:
-    mask = den - 1 if den & (den - 1) == 0 else None
+def _step_scan(num: int, den: int, bits: list, muls: tuple, segments,
+               cap: int) -> int | None:
+    """First k in [1, cap] at which the orbit of num/den lies inside
+    ``segments``, or None: one exact step at a time, the fastest scan for
+    one point and the only one for a denominator that is not a power of
+    two."""
     if not segments:
         return None
+    mask = den - 1 if den & (den - 1) == 0 else None
     (lo1, hi1) = segments[0]
     two = len(segments) > 1
     if two:
@@ -235,6 +276,69 @@ def _scan_to_ball(num: int, den: int, bits: list, muls: tuple, segments,
     return None
 
 
+def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, segments,
+                  cap: int) -> list:
+    """_step_scan for each of many numerators over one ``den`` = 2**B, all
+    at once (the filtered exact scan of the module docstring)."""
+    if not segments:
+        return [None] * len(nums)
+    mask = den - 1
+    width = den.bit_length() - 1
+    # the ball as one arc of numerators, lo .. lo + span (mod 2**width)
+    lo = segments[-1][0]
+    span = segments[0][1] + (mask + 1 if len(segments) > 1 else 0) - lo
+    shift = max(width - _WINDOW_BITS, 0)
+    top = (1 << (width - shift)) - 1       # largest window value A
+    pad = 64 - (width - shift)             # A sits in the high bits of a word
+    factors = [np.uint64(m % 2**64) for m in muls]
+    taus = [None] * len(nums)
+    exact = list(nums)                     # block-start numerators, by trial
+    ids = np.arange(len(nums))             # live trials, aligned with window
+    window = np.array([(n >> shift) << pad for n in exact], dtype=np.uint64)
+    prod = 1
+    for k in range(1, cap + 1):
+        m = muls[bits[k - 1]]
+        if prod > 1 and prod * m > _BLOCK_PRODUCT:
+            live = ids.tolist()
+            for i in live:
+                exact[i] = (exact[i] * prod) & mask
+            window = np.array([(exact[i] >> shift) << pad for i in live],
+                              dtype=np.uint64)
+            prod = 1
+        prod *= m
+        window *= factors[bits[k - 1]]
+        # numerator in [A u, A u + d], u = 2**shift: it may meet the arc for
+        # A in [ceil((lo - d) / u), floor((lo + span) / u)] and surely lies
+        # inside it for A in [ceil(lo / u), floor((lo + span - d) / u)]
+        d = prod * ((1 << shift) - 1)
+        meet = -((d - lo) >> shift)
+        flag = ((window - ((meet & top) << pad))
+                <= (min(((lo + span) >> shift) - meet, top) << pad))
+        if not flag.any():
+            continue
+        at = np.flatnonzero(flag)
+        sure = -((-lo) >> shift)
+        sure_len = ((lo + span - d) >> shift) - sure
+        if sure_len >= 0:
+            inside = (window[at] - ((sure & top) << pad)) <= (sure_len << pad)
+            hits, straddles = at[inside].tolist(), at[~inside].tolist()
+        else:
+            hits, straddles = [], at.tolist()
+        for j in straddles:
+            n = (exact[int(ids[j])] * prod) & mask
+            if (n - lo) & mask <= span:
+                hits.append(j)
+        if hits:
+            for i in ids[hits].tolist():
+                taus[i] = k
+            keep = np.ones(ids.size, dtype=bool)
+            keep[hits] = False
+            window, ids = window[keep], ids[keep]
+            if not ids.size:
+                break
+    return taus
+
+
 def hitting_time_ball(rds: CircleRDS, bits, x0: CirclePoint, target: BallTarget,
                       cap: int) -> int | None:
     """First k in [1, cap] with f^k(x0) inside the ball, None if censored.
@@ -247,8 +351,8 @@ def hitting_time_ball(rds: CircleRDS, bits, x0: CirclePoint, target: BallTarget,
     _check_budget(x0, cap, rds.max_multiplier)
     bit_list = _bits_sequence(bits, cap)
     segments = _ball_segments(target, x0.denominator)
-    return _scan_to_ball(x0.numerator, x0.denominator, bit_list,
-                         rds.multipliers, segments, cap)
+    return _step_scan(x0.numerator, x0.denominator, bit_list, rds.multipliers,
+                      segments, cap)
 
 
 @dataclass(frozen=True)
@@ -291,20 +395,11 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     precision = required_bits(scan_cap, rds.max_multiplier) if scan_cap else _GUARD_BITS
     den = 1 << precision
     segments = _ball_segments(target, den)
-    rng = make_rng(seed)
-    muls = rds.multipliers
-
-    taus = np.empty(trials, dtype=np.int64)
-    censored = 0
-    for i in range(trials):
-        x0 = CirclePoint.uniform(rng, precision)
-        hit = (_scan_to_ball(x0.numerator, den, bits_list, muls, segments,
-                             scan_cap) if scan_cap else None)
-        if hit is None:
-            censored += 1
-            taus[i] = scan_cap + 1
-        else:
-            taus[i] = hit
+    nums = _uniform_numerators(make_rng(seed), precision, trials)
+    hits = _scan_to_ball(nums, den, bits_list, rds.multipliers, segments, scan_cap)
+    censored = hits.count(None)
+    taus = np.array([scan_cap + 1 if hit is None else hit for hit in hits],
+                    dtype=np.int64)
     survival = np.array([(taus > k).mean() if k <= scan_cap else (taus > scan_cap).mean()
                          for k in ks])
     delta_r = ks_to_exponential(survival, t).sup_abs_err
@@ -329,13 +424,14 @@ def aperiodicity_probe(rds: CircleRDS, bits, trials: int, horizon: int, seed,
     rng = make_rng(seed)
     if points is None:
         precision = required_bits(horizon, rds.max_multiplier)
-        points = [CirclePoint.uniform(rng, precision) for _ in range(trials)]
+        points = [CirclePoint(num, 1 << precision, precision)
+                  for num in _uniform_numerators(rng, precision, trials)]
     else:
         points = list(points)
     periodic = 0
     for x0 in points:
         _check_budget(x0, horizon, rds.max_multiplier)
         num0 = x0.numerator
-        periodic += _scan_to_ball(num0, x0.denominator, bit_list, rds.multipliers,
-                                  [(num0, num0)], horizon) is not None
+        periodic += _step_scan(num0, x0.denominator, bit_list, rds.multipliers,
+                               [(num0, num0)], horizon) is not None
     return periodic / len(points)

@@ -55,6 +55,25 @@ def test_window_reproducible_and_extension_deterministic(proc, seed, first, step
                           sample_window(proc, seed, whole).prefix(whole))
 
 
+@settings(max_examples=80, deadline=None)
+@given(raw=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1),
+       splits=st.lists(st.integers(1, 200), min_size=1, max_size=5))
+def test_bernoulli_extension_draws_what_rng_choice_draws(raw, seed, splits):
+    # each extension is the draw rng.choice(size, extra, p=weights) makes
+    weights = np.asarray(raw) / sum(raw)
+    proc = BaseProcess.bernoulli(weights)
+    win = sample_window(proc, seed, splits[0])
+    ref_rng = make_rng(seed)
+    want = [ref_rng.choice(weights.size, size=splits[0], p=proc.weights)]
+    stop = splits[0]
+    for extra in splits[1:]:
+        stop += extra
+        win.prefix(stop)
+        want.append(ref_rng.choice(weights.size, size=extra, p=proc.weights))
+    assert np.array_equal(win.prefix(stop), np.concatenate(want))
+
+
 def test_shifted_window_shares_realization():
     proc = BaseProcess.bernoulli([0.3, 0.7])
     win = sample_window(proc, seed=5, length=30)

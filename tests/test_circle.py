@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hitlaw import circle
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS,
                            aperiodicity_probe, circle_distance,
@@ -187,3 +188,63 @@ def test_aperiodicity_probe_matches_orbit_returns(fractions, bits, multipliers):
     probe = aperiodicity_probe(rds, bits, trials=0, horizon=len(bits), seed=0,
                                points=points)
     assert probe == returns / len(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4100), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_uniform_numerators_match_per_point_bytes(precision, count, seed):
+    # one bulk draw gives the numerators, and leaves the generator in the
+    # state, that one rng.bytes call per point would
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    nbytes = (precision + 7) // 8
+    want = [int.from_bytes(ref_rng.bytes(nbytes), "big") >> (8 * nbytes - precision)
+            for _ in range(count)]
+    assert circle._uniform_numerators(rng, precision, count) == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.random() == ref_rng.random()
+
+
+def _one_step_hits(nums, den, bits, muls, segments, cap):
+    out = []
+    for num in nums:
+        hit = None
+        for k in range(1, cap + 1):
+            num = num * muls[bits[k - 1]] % den
+            if any(lo <= num <= hi for lo, hi in segments):
+                hit = k
+                break
+        out.append(hit)
+    return out
+
+
+# a 36-bit window: with block products up to 2**32 straddles are frequent,
+# so the exact fallback runs often, and widths of 1 to 100 bits fall on
+# both sides of the window and past the 64-bit guard floor
+_SMALL_WINDOW = 36
+
+
+@settings(max_examples=400, deadline=None)
+@given(muls=st.tuples(st.integers(2, 2**70), st.integers(2, 2**70))
+       | st.sampled_from([(2, 3), (2, 5), (3, 4)]),
+       width=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+       center=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.01, 0.99]),
+       radius=st.floats(1e-6, 0.49), one_point=st.booleans(),
+       count=st.integers(1, 25), cap=st.integers(1, 60))
+# an orbit whose window interval straddles the ball's edge from outside
+@example(muls=(3, 4), width=51, seed=273, center=0.015625, radius=0.015625,
+         one_point=False, count=1, cap=33)
+def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
+                                          one_point, count, cap):
+    rng = make_rng(seed)
+    den = 1 << width
+    nums = circle._uniform_numerators(rng, width, count)
+    bits = [int(b) for b in rng.integers(0, 2, size=cap)]
+    if one_point:
+        segments = [(nums[0], nums[0])]
+    else:
+        segments = circle._ball_segments(BallTarget(center, radius), den)
+    want = _one_step_hits(nums, den, bits, muls, segments, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circle, "_WINDOW_BITS", _SMALL_WINDOW)
+        assert circle._scan_to_ball(nums, den, bits, muls, segments, cap) == want
+    assert circle._scan_to_ball(nums, den, bits, muls, segments, cap) == want
