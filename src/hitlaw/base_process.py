@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _STOCHASTIC_ATOL = 1e-12
+_DRAW_BLOCK = 1 << 16
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -115,6 +116,9 @@ class _WindowBuffer:
     Extension draws from the stored generator, so it is deterministic for a
     given seed and independent of how the extensions are interleaved.
     Symbols are kept in the smallest unsigned dtype that holds the alphabet.
+    A Markov extension draws its uniforms at once, maps each one through
+    every transition row in bulk, and walks the maps in blocks of
+    ``_DRAW_BLOCK`` steps: the symbols are those of one searchsorted per step.
     """
 
     def __init__(self, proc: BaseProcess, rng: np.random.Generator, length: int):
@@ -125,6 +129,12 @@ class _WindowBuffer:
             # the draw rng.choice(size, p=weights) makes, with p checked once
             self._cdf = np.cumsum(proc.weights)
             self._cdf /= self._cdf[-1]
+        else:
+            # last entries pinned to 1, so that no draw u < 1 falls past them
+            self._cdf = np.cumsum(proc.stationary)
+            self._cdf[-1] = 1.0
+            self._cum = np.cumsum(proc.transition, axis=1)
+            self._cum[:, -1] = 1.0
         if length > 0:
             self.extend_to(length)
 
@@ -132,24 +142,23 @@ class _WindowBuffer:
         extra = length - self.symbols.size
         if extra <= 0:
             return
-        proc, rng = self.proc, self.rng
-        if proc.kind == "bernoulli":
-            block = self._cdf.searchsorted(rng.random(extra), side="right")
+        u = self.rng.random(extra)
+        if self.proc.kind == "bernoulli":
+            block = self._cdf.searchsorted(u, side="right")
         else:
-            cum = np.cumsum(proc.transition, axis=1)
-            u = rng.random(extra)
-            block = np.empty(extra, dtype=np.int64)
-            if self.symbols.size == 0:
-                state = int(np.searchsorted(np.cumsum(proc.stationary), u[0], side="right"))
-                block[0] = state
-                start = 1
+            block = np.empty(extra, dtype=self.symbols.dtype)
+            if self.symbols.size:
+                state, start = int(self.symbols[-1]), 0
             else:
-                state = int(self.symbols[-1])
-                start = 0
-            for i in range(start, extra):
-                state = int(np.searchsorted(cum[state], u[i], side="right"))
-                block[i] = state
-        self.symbols = np.concatenate([self.symbols, block.astype(self.symbols.dtype)])
+                state = block[0] = int(self._cdf.searchsorted(u[0], side="right"))
+                start = 1
+            for lo in range(start, extra, _DRAW_BLOCK):
+                chunk = u[lo:lo + _DRAW_BLOCK]
+                # step i maps each state x to row x's searchsorted of u[i]
+                maps = zip(*[row.searchsorted(chunk, side="right").tolist()
+                             for row in self._cum])
+                block[lo:lo + chunk.size] = [state := step[state] for step in maps]
+        self.symbols = np.concatenate([self.symbols, block.astype(self.symbols.dtype, copy=False)])
 
 
 class BaseWindow:

@@ -183,7 +183,7 @@ def _bits_sequence(bits, steps: int) -> list:
         arr = arr[:steps]
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("noise bits must be 0 or 1")
-    return [int(b) for b in arr]
+    return arr.tolist()
 
 
 def _check_budget(x0: CirclePoint, steps: int, max_m: int) -> None:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitlaw.base_process import (BaseProcess, base_cylinder_prob, make_rng,
+from hitlaw.base_process import (_DRAW_BLOCK, BaseProcess, _WindowBuffer,
+                                 base_cylinder_prob, make_rng,
                                  psi_mixing_coefficient, sample_window)
 
 
@@ -72,6 +73,71 @@ def test_bernoulli_extension_draws_what_rng_choice_draws(raw, seed, splits):
         win.prefix(stop)
         want.append(ref_rng.choice(weights.size, size=extra, p=proc.weights))
     assert np.array_equal(win.prefix(stop), np.concatenate(want))
+
+
+def _markov_reference(proc, rng, size, state=None):
+    """The per-symbol chain draw: one searchsorted call per symbol."""
+    cum = np.cumsum(proc.transition, axis=1)
+    u = rng.random(size)
+    out = []
+    for i in range(size):
+        row = np.cumsum(proc.stationary) if state is None else cum[state]
+        state = int(np.searchsorted(row, u[i], side="right"))
+        out.append(state)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw=st.integers(2, 5).flatmap(
+           lambda s: st.lists(st.lists(st.floats(0.05, 1.0), min_size=s, max_size=s),
+                              min_size=s, max_size=s)),
+       seed=st.integers(0, 2**32 - 1),
+       short=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+       long=st.sampled_from([1] + [_DRAW_BLOCK + d for d in range(-1, 3)]),
+       at=st.integers(0, 4))
+def test_markov_extension_draws_what_the_per_symbol_loop_draws(raw, seed, short, long, at):
+    # reads of 1 to past _DRAW_BLOCK symbols, the first read included, by
+    # prefix or by index, draw the chain of one searchsorted per symbol
+    q = np.asarray(raw) / np.sum(raw, axis=1, keepdims=True)
+    proc = BaseProcess.markov(q)
+    first, *splits = short[:at] + [long] + short[at:]
+    win = sample_window(proc, seed, first)
+    ref_rng = make_rng(seed)
+    want = _markov_reference(proc, ref_rng, first)
+    stop = first
+    for i, extra in enumerate(splits):
+        stop += extra
+        if i % 2:
+            win[stop - 1]
+        else:
+            win.prefix(stop)
+        want += _markov_reference(proc, ref_rng, extra, want[-1])
+    assert win.prefix(stop).tolist() == want
+
+
+class _PresetRng:
+    """Stands in for a generator: returns preset uniforms in order."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def random(self, size):
+        out, self._draws = self._draws[:size], self._draws[size:]
+        return np.asarray(out)
+
+
+@pytest.mark.parametrize("proc, draws, want", [
+    # transition row 0 sums to 1 - 5e-13, within the stochasticity check
+    (BaseProcess.markov([[0.6, 0.4 - 5e-13], [0.4, 0.6]]),
+     [0.0, 1.0 - 1e-13, 1.0 - 1e-13], [0, 1, 1]),
+    # the stationary vector sums to 1 - 5e-13
+    (BaseProcess.markov([[0.5, 0.5], [0.5, 0.5]], stationary=[0.5, 0.5 - 5e-13]),
+     [1.0 - 1e-13, 0.0], [1, 0]),
+])
+def test_markov_draw_below_one_stays_in_alphabet(proc, draws, want):
+    # a cumulative row that ends just under 1 must not map u < 1 past it
+    buf = _WindowBuffer(proc, _PresetRng(draws), len(draws))
+    assert buf.symbols.tolist() == want
 
 
 def test_shifted_window_shares_realization():
