@@ -211,15 +211,9 @@ class RandomOrbit:
     def __iter__(self):
         num, den = self._x0.numerator, self._x0.denominator
         budget = self._x0.budget_bits
-        if den & (den - 1) == 0:
-            mask = den - 1
-            for b in self._bits:
-                num = (num * self._muls[b]) & mask
-                yield CirclePoint(num, den, budget)
-        else:
-            for b in self._bits:
-                num = (num * self._muls[b]) % den
-                yield CirclePoint(num, den, budget)
+        for b in self._bits:
+            num = num * self._muls[b] % den
+            yield CirclePoint(num, den, budget)
 
     def points(self) -> list:
         return list(self)
@@ -230,63 +224,53 @@ def random_orbit(rds: CircleRDS, bits, x0: CirclePoint, steps: int) -> RandomOrb
     return RandomOrbit(rds, bits, x0, steps)
 
 
-def _ball_segments(target: BallTarget, denominator: int):
-    """Integer numerator ranges representing the open ball, possibly split
-    by the wraparound; exact via rational arithmetic."""
+def _ball_arc(target: BallTarget, denominator: int):
+    """The numerators strictly inside the open ball, as one arc lo, lo + 1,
+    ..., lo + span (mod denominator): ``(lo, span)`` with 0 <= lo <
+    denominator, or None when the ball holds no numerator.  Exact via
+    rational arithmetic."""
     c = Fraction(target.center)
     rho = Fraction(target.radius)
     lo = math.floor((c - rho) * denominator) + 1     # smallest num strictly inside
     hi = math.ceil((c + rho) * denominator) - 1      # largest num strictly inside
     if lo > hi:
-        return []
-    if lo < 0:
-        return [(0, hi), (lo + denominator, denominator - 1)]
-    if hi >= denominator:
-        return [(0, hi - denominator), (lo, denominator - 1)]
-    return [(lo, hi)]
-
-
-def _step_scan(num: int, den: int, bits: list, muls: tuple, segments,
-               cap: int) -> int | None:
-    """First k in [1, cap] at which the orbit of num/den lies inside
-    ``segments``, or None: one exact step at a time, the fastest scan for
-    one point and the only one for a denominator that is not a power of
-    two."""
-    if not segments:
         return None
-    mask = den - 1 if den & (den - 1) == 0 else None
-    (lo1, hi1) = segments[0]
-    two = len(segments) > 1
-    if two:
-        (lo2, hi2) = segments[1]
-    if mask is not None:
+    return lo % denominator, hi - lo
+
+
+def _step_scan(num: int, den: int, bits: list, muls: tuple, arc,
+               cap: int) -> int | None:
+    """First k in [1, cap] at which the orbit of num/den lies on ``arc``,
+    or None: one exact step at a time, the fastest scan for one point and
+    the only one for a denominator that is not a power of two."""
+    if arc is None:
+        return None
+    lo, span = arc
+    hi = lo + span
+    wrap = hi - den                        # last numerator past 0, if >= 0
+    if den & (den - 1) == 0:
+        mask = den - 1
         for k in range(1, cap + 1):
             num = (num * muls[bits[k - 1]]) & mask
-            if lo1 <= num <= hi1:
-                return k
-            if two and lo2 <= num <= hi2:
+            if lo <= num <= hi or num <= wrap:
                 return k
     else:
         for k in range(1, cap + 1):
             num = (num * muls[bits[k - 1]]) % den
-            if lo1 <= num <= hi1:
-                return k
-            if two and lo2 <= num <= hi2:
+            if lo <= num <= hi or num <= wrap:
                 return k
     return None
 
 
-def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, segments,
+def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
                   cap: int) -> list:
     """_step_scan for each of many numerators over one ``den`` = 2**B, all
     at once (the filtered exact scan of the module docstring)."""
-    if not segments:
+    if arc is None:
         return [None] * len(nums)
+    lo, span = arc
     mask = den - 1
     width = den.bit_length() - 1
-    # the ball as one arc of numerators, lo .. lo + span (mod 2**width)
-    lo = segments[-1][0]
-    span = segments[0][1] + (mask + 1 if len(segments) > 1 else 0) - lo
     shift = max(width - _WINDOW_BITS, 0)
     top = (1 << (width - shift)) - 1       # largest window value A
     pad = 64 - (width - shift)             # A sits in the high bits of a word
@@ -350,9 +334,8 @@ def hitting_time_ball(rds: CircleRDS, bits, x0: CirclePoint, target: BallTarget,
         raise ValueError("cap must be >= 1")
     _check_budget(x0, cap, rds.max_multiplier)
     bit_list = _bits_sequence(bits, cap)
-    segments = _ball_segments(target, x0.denominator)
     return _step_scan(x0.numerator, x0.denominator, bit_list, rds.multipliers,
-                      segments, cap)
+                      _ball_arc(target, x0.denominator), cap)
 
 
 @dataclass(frozen=True)
@@ -391,17 +374,15 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     k_max = int(ks[-1])
     scan_cap = k_max if cap is None else int(cap)
     widened = scan_cap < k_max
-    bits_list = _bits_sequence(bits, scan_cap) if scan_cap else []
-    precision = required_bits(scan_cap, rds.max_multiplier) if scan_cap else _GUARD_BITS
+    precision = required_bits(scan_cap, rds.max_multiplier)
     den = 1 << precision
-    segments = _ball_segments(target, den)
     nums = _uniform_numerators(make_rng(seed), precision, trials)
-    hits = _scan_to_ball(nums, den, bits_list, rds.multipliers, segments, scan_cap)
+    hits = _scan_to_ball(nums, den, _bits_sequence(bits, scan_cap), rds.multipliers,
+                         _ball_arc(target, den), scan_cap)
     censored = hits.count(None)
     taus = np.array([scan_cap + 1 if hit is None else hit for hit in hits],
                     dtype=np.int64)
-    survival = np.array([(taus > k).mean() if k <= scan_cap else (taus > scan_cap).mean()
-                         for k in ks])
+    survival = np.array([(taus > min(k, scan_cap)).mean() for k in ks])
     delta_r = ks_to_exponential(survival, t).sup_abs_err
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
                            delta_r=delta_r, trials=trials, censored_count=censored,
@@ -428,10 +409,12 @@ def aperiodicity_probe(rds: CircleRDS, bits, trials: int, horizon: int, seed,
                   for num in _uniform_numerators(rng, precision, trials)]
     else:
         points = list(points)
+    if not points:
+        raise ValueError("need at least one start point")
     periodic = 0
     for x0 in points:
         _check_budget(x0, horizon, rds.max_multiplier)
         num0 = x0.numerator
         periodic += _step_scan(num0, x0.denominator, bit_list, rds.multipliers,
-                               [(num0, num0)], horizon) is not None
+                               (num0, 0), horizon) is not None
     return periodic / len(points)

@@ -28,7 +28,7 @@ from . import __version__
 from .base_process import make_rng, sample_window
 from .circle import CircleRDS, quenched_law_statistic
 from .config import ExperimentConfig
-from .errors import PrecisionBudgetError, ResourceLimitError
+from .errors import ResourceLimitError
 from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fiber_prefix
 from .ledger import (compute_ledger, estimate_entropies, gap_schedule,
                      verify_sandwich)
@@ -244,15 +244,21 @@ def _reduce_ledger(cfg: ExperimentConfig, done) -> dict:
 # entropy
 
 
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean, nan for fewer than two values."""
+    if values.size < 2:
+        return float("nan")
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def _entropy_item(args):
     cfg, n = args
     est = estimate_entropies(cfg.fiber, cfg.base, [n], cfg.trials,
                              seed=cfg.seeds[0])
     smb = est.smb_slopes[n]
     ow = est.ow_slopes[n]
-    row = (n, float(smb.mean()), float(smb.std(ddof=1) / math.sqrt(smb.size)),
-           float(ow.mean()) if ow.size else float("nan"),
-           float(ow.std(ddof=1) / math.sqrt(ow.size)) if ow.size > 1 else float("nan"),
+    row = (n, float(smb.mean()), _stderr(smb),
+           float(ow.mean()) if ow.size else float("nan"), _stderr(ow),
            est.censored[n], cfg.trials)
     return ("ok", (n,), (row, est.widened_uncertainty))
 
@@ -279,11 +285,8 @@ def _circle_item(args):
     rds = CircleRDS(multipliers=cfg.multipliers)
     bits = sample_window(rds.base, [seed, 0], 1)
     y = float(make_rng([seed, 1]).random())
-    try:
-        out = quenched_law_statistic(rds, bits, y, r, cfg.t_grid,
-                                     trials=cfg.trials, seed=[seed, 2])
-    except PrecisionBudgetError as exc:
-        return ("truncated", f"circle r={r} seed={seed}: {exc}")
+    out = quenched_law_statistic(rds, bits, y, r, cfg.t_grid,
+                                 trials=cfg.trials, seed=[seed, 2])
     rows = [(seed, r, t, s, math.exp(-t), out.delta_r, out.trials,
              out.censored_count)
             for t, s in zip(out.t_grid, out.survival)]
@@ -332,7 +335,7 @@ def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
         "draws": cfg.trials,
         "fraction_abs_log_ratio_ge_10": float((np.abs(logs) >= 10.0).mean()),
         "mean_log_ratio": float(logs.mean()),
-        "std_log_ratio": float(logs.std(ddof=1)),
+        "std_log_ratio": float(logs.std(ddof=1)) if logs.size > 1 else float("nan"),
     }
     return {"singularity.csv": ("csv", SINGULARITY_COLUMNS, rows),
             "singularity.json": ("json", report)}

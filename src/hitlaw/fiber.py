@@ -104,8 +104,16 @@ def fiber_cylinder_measure(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     _check_compatible(fm, pat)
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    rows = window.prefix(offset + pat.n)[offset:]
-    return float(np.prod(fm.W[rows, list(pat.symbols)]))
+    return float(_cylinder_measures(fm, window.prefix(offset + pat.n), pat,
+                                    np.array([offset]))[0])
+
+
+def _cylinder_measures(fm: FiberMeasure, symbols: np.ndarray, pat: Pattern,
+                       offsets: np.ndarray) -> np.ndarray:
+    """The cylinder measure of the pattern seen from each offset, reading
+    noise ``symbols[offset + i]`` for pattern coordinate i."""
+    idx = offsets[:, np.newaxis] + np.arange(pat.n)[np.newaxis, :]
+    return fm.W[symbols[idx], np.asarray(pat.symbols)[np.newaxis, :]].prod(axis=1)
 
 
 def marginal_cylinder_measure(fm: FiberMeasure, proc: BaseProcess, pat: Pattern) -> float:

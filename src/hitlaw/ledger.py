@@ -23,7 +23,7 @@ import numpy as np
 
 from .base_process import BaseProcess, BaseWindow, make_rng, sample_window
 from .errors import ResourceLimitError
-from .fiber import (FiberMeasure, Pattern, _check_compatible,
+from .fiber import (FiberMeasure, Pattern, _check_compatible, _cylinder_measures,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
 from .survival import (_lockstep, _scan_hitting, build_automaton,
@@ -81,12 +81,6 @@ def _column_symbols(symbols: np.ndarray, first: int, columns: int,
         symbols[first:first + columns + reads - 1], reads)
 
 
-def _sliding_cylinder_measures(fm: FiberMeasure, symbols: np.ndarray,
-                               pat: Pattern, offsets: np.ndarray) -> np.ndarray:
-    idx = offsets[:, np.newaxis] + np.arange(pat.n)[np.newaxis, :]
-    return fm.W[symbols[idx], np.asarray(pat.symbols)[np.newaxis, :]].prod(axis=1)
-
-
 def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
                  jmax: int, g: int | None, op_budget: int | None):
     """Batched exact evaluation of the per-offset discrepancies, refused
@@ -112,7 +106,7 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     masked = masked_step_matrices(fm, aut)
 
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    mu = _sliding_cylinder_measures(fm, symbols, pat, offsets)
+    mu = _cylinder_measures(fm, symbols, pat, offsets)
 
     # survival recursions for offsets 0..k+gap; offset i's first read is
     # coordinate i+1, and its j-th survival value lands after j+n-1 reads
@@ -184,8 +178,7 @@ def hits_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int) -> floa
     if k == 0:
         return 0.0
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    return math.fsum(_sliding_cylinder_measures(fm, window.prefix(k + pat.n), pat,
-                                                offsets))
+    return math.fsum(_cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets))
 
 
 def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
@@ -198,7 +191,7 @@ def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     n = pat.n
     symbols = window.prefix(k + g + n)
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    mu = _sliding_cylinder_measures(fm, symbols, pat, offsets)
+    mu = _cylinder_measures(fm, symbols, pat, offsets)
     aut = build_automaton(pat)
     masses = _lockstep(masked_step_matrices(fm, aut),
                        _column_symbols(symbols, n + 1, k, g),

@@ -81,7 +81,7 @@ class TrendReport:
         }
 
 
-def trend_report(values, xs=None, tol: float = 0.0) -> TrendReport:
+def trend_report(values, xs=None) -> TrendReport:
     """Is the sequence nonincreasing, and how fast does it fall?
 
     The slope is a least-squares fit of log(values) against ``xs``
@@ -94,7 +94,7 @@ def trend_report(values, xs=None, tol: float = 0.0) -> TrendReport:
     x = np.arange(v.size, dtype=float) if xs is None else np.asarray(xs, dtype=float)
     if x.shape != v.shape:
         raise ValueError("xs and values lengths differ")
-    noninc = bool(np.all(np.diff(v) <= tol))
+    noninc = bool(np.all(np.diff(v) <= 0.0))
     logs = np.log(np.maximum(v, 1e-300))
     slope = float(np.polyfit(x, logs, 1)[0])
     return TrendReport(xs=x, values=v, nonincreasing=noninc, log_slope=slope)

@@ -22,7 +22,8 @@ import numpy as np
 from .base_process import BaseProcess, BaseWindow, sample_window
 from .errors import ResourceLimitError
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
-                    fiber_cylinder_measure, marginal_cylinder_measure)
+                    fiber_cylinder_measure, marginal_cylinder_measure,
+                    sample_fiber_prefix)
 from .stats import _check_t_grid
 
 
@@ -305,15 +306,12 @@ def _scan_hitting(fm: FiberMeasure, window: BaseWindow, aut: PatternAutomaton,
     """
     n = aut.n
     delta_rows = [tuple(int(x) for x in row) for row in aut.delta]
-    cum = np.cumsum(fm.W, axis=1)
     state = start_state
     coord = first_coord
     last_coord = cap + n - 1
     while coord <= last_coord:
         end = min(coord + _SCAN_BLOCK, last_coord + 1)
-        rows = window.prefix(end)[coord:]
-        u = rng.random(len(rows))
-        xs = (u[:, np.newaxis] > cum[rows]).sum(axis=1).tolist()
+        xs = sample_fiber_prefix(fm, window.shifted(coord), end - coord, rng).tolist()
         for i, x in enumerate(xs):
             state = delta_rows[state][x]
             if state == n:

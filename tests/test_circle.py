@@ -171,6 +171,13 @@ def test_aperiodicity_probe_forced_points(rds):
                               points=[CirclePoint.from_fraction(1, 3)]) == 1.0
 
 
+def test_aperiodicity_probe_needs_a_start_point(rds):
+    with pytest.raises(ValueError, match="start point"):
+        aperiodicity_probe(rds, [0] * 5, trials=0, horizon=5, seed=0)
+    with pytest.raises(ValueError, match="start point"):
+        aperiodicity_probe(rds, [0] * 5, trials=3, horizon=5, seed=0, points=[])
+
+
 _DENOMINATORS = st.integers(1, 60) | st.sampled_from([2 ** j for j in range(1, 12)])
 
 
@@ -204,17 +211,23 @@ def test_uniform_numerators_match_per_point_bytes(precision, count, seed):
     assert rng.random() == ref_rng.random()
 
 
-def _one_step_hits(nums, den, bits, muls, segments, cap):
+def _one_step_hits(nums, den, bits, muls, inside, cap):
+    """First k at which each orbit meets ``inside(num)``, stepped in the test."""
     out = []
     for num in nums:
         hit = None
         for k in range(1, cap + 1):
             num = num * muls[bits[k - 1]] % den
-            if any(lo <= num <= hi for lo, hi in segments):
+            if inside(num):
                 hit = k
                 break
         out.append(hit)
     return out
+
+
+def _in_ball(den, center, radius):
+    """Exact membership of num/den in the open ball, by circle distance."""
+    return lambda num: circle_distance(CirclePoint(num, den), center) < radius
 
 
 # a 36-bit window: with block products up to 2**32 straddles are frequent,
@@ -240,11 +253,34 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
     nums = circle._uniform_numerators(rng, width, count)
     bits = [int(b) for b in rng.integers(0, 2, size=cap)]
     if one_point:
-        segments = [(nums[0], nums[0])]
+        arc, inside = (nums[0], 0), nums[0].__eq__
     else:
-        segments = circle._ball_segments(BallTarget(center, radius), den)
-    want = _one_step_hits(nums, den, bits, muls, segments, cap)
+        arc = circle._ball_arc(BallTarget(center, radius), den)
+        inside = _in_ball(den, center, radius)
+    want = _one_step_hits(nums, den, bits, muls, inside, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circle, "_WINDOW_BITS", _SMALL_WINDOW)
-        assert circle._scan_to_ball(nums, den, bits, muls, segments, cap) == want
-    assert circle._scan_to_ball(nums, den, bits, muls, segments, cap) == want
+        assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
+    assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(den=st.integers(3, 2**40).filter(lambda d: d & (d - 1)),
+       num=st.integers(0, 2**40), bits=st.lists(st.integers(0, 1), min_size=1,
+                                                 max_size=60),
+       muls=st.sampled_from([(2, 3), (2, 5), (3, 4), (6, 7)]),
+       center=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.01, 0.99]),
+       radius=st.floats(1e-6, 0.49))
+# 1/7 -> 2/7 -> 4/7 -> 1/7 lands on the part of the ball past 0
+@example(den=7, num=1, bits=[0, 0, 0], muls=(2, 3), center=0.95, radius=0.2)
+# the ball starts below 0: 2/5 -> 4/5 lies at distance 1/4 < 0.3 from 0.05
+@example(den=5, num=2, bits=[0], muls=(2, 3), center=0.05, radius=0.3)
+def test_hitting_time_ball_matches_exact_distance_scan(den, num, bits, muls,
+                                                       center, radius):
+    # non-dyadic denominators take the one-step scan's % branch
+    rds = CircleRDS(multipliers=muls)
+    x0 = CirclePoint.from_fraction(num, den)
+    (want,) = _one_step_hits([x0.numerator], den, bits, muls,
+                             _in_ball(den, center, radius), len(bits))
+    assert hitting_time_ball(rds, bits, x0, BallTarget(center, radius),
+                             len(bits)) == want

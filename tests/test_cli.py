@@ -220,6 +220,21 @@ def test_run_circle_and_entropy_kinds(tmp_path):
     assert report["h_hat"] >= report["h0"] - 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_runs_of_one_draw_write_null_spreads_without_warning(tmp_path):
+    entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=1, sweep={"n": [4]})
+    run_experiment(build_config(entropy), str(tmp_path / "e"))
+    header, row = (tmp_path / "e" / "entropy.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["smb_stderr"] == "nan"
+
+    singularity = _tiny_tree(experiment="singularity", seeds=[3], trials=1,
+                             sweep={"n": [20]})
+    run_experiment(build_config(singularity), str(tmp_path / "s"))
+    report = json.loads((tmp_path / "s" / "singularity.json").read_text())
+    assert report["draws"] == 1
+    assert report["std_log_ratio"] is None
+
+
 def test_shipped_configs_validate():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg_dir = os.path.join(here, "configs")
