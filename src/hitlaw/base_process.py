@@ -171,6 +171,7 @@ class BaseWindow:
 
     def __init__(self, buf: _WindowBuffer, start_index: int = 0):
         self._buf = buf
+        self.proc = buf.proc
         self.start_index = start_index
 
     def __len__(self) -> int:

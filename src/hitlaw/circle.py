@@ -176,6 +176,8 @@ def _bits_sequence(bits, steps: int) -> list:
     """Normalize the noise bits to a plain list of 0/1 of length >= steps."""
     if isinstance(bits, BaseWindow):
         arr = bits.prefix(steps)
+        if bits.proc.alphabet_size == 2:   # pinned cumulative sums draw only 0, 1
+            return arr.tolist()
     else:
         arr = np.asarray(bits, dtype=np.int64)
         if arr.size < steps:
@@ -206,7 +208,6 @@ class RandomOrbit:
         self._bits = _bits_sequence(bits, steps)
         self._x0 = x0
         self._muls = rds.multipliers
-        self.steps = steps
 
     def __iter__(self):
         num, den = self._x0.numerator, self._x0.denominator

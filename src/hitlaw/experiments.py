@@ -3,13 +3,17 @@ artifact files.
 
 ``KINDS`` maps each kind to three functions: ``items(cfg)`` lists the run's
 work items as tuples ``(cfg, *key)`` in a fixed order; the top-level
-``worker(item)`` computes one item exactly and returns ``("ok", key,
-payload)`` or ``("truncated", marker)``; ``reduce(cfg, done)`` builds the
-CSV rows and JSON report from the finished items' ``(key, payload)`` pairs,
-in item order.  ``run_experiment`` dispatches all items of a run at once.
-Workers never share state and results are merged in item order, so the
-emitted bytes do not depend on the worker count.  Floats are formatted with
-17 significant digits, which round-trips doubles exactly.
+``worker(item)`` computes one item exactly and returns a list of outcomes,
+each ``("ok", key, payload)`` or ``("truncated", marker)``; ``reduce(cfg,
+done)`` builds the CSV rows and JSON report from the finished outcomes'
+``(key, payload)`` pairs, in item order.  ``run_experiment`` dispatches all
+items of a run at once.  Workers never share state and results are merged
+in item order, so the emitted bytes do not depend on the worker count.
+Floats are formatted with 17 significant digits, which round-trips doubles
+exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
+of columns of one word length, each chunk one kernel call, and quenched
+chunks are sized by kernel table bytes (``_shift_items``); every column's
+curve is bit-identical however the columns are chunked.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (compute_ledger, estimate_entropies, gap_schedule,
                      verify_sandwich)
 from .stats import ks_to_exponential, trend_report
-from .survival import (_annealed_curve, _rescaled_k, _windows_survival,
-                       rescaled_survival)
+from .survival import (_BLOCK_CODES, _annealed_curve, _rescaled_k,
+                       _windows_survival)
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -74,13 +78,31 @@ def _items(cfg: ExperimentConfig, *grids) -> list:
     return [(cfg, *key) for key in itertools.product(*grids)]
 
 
-def _chunks(cfg: ExperimentConfig) -> list:
-    """The draws ``range(cfg.trials)`` as one contiguous chunk per worker.
-    Each draw keeps its own noise keys, and the annealed kernel treats its
+def _chunks(keys, pieces: int) -> list:
+    """``keys`` (a range or tuple) as min(pieces, len(keys)) contiguous
+    chunks.  Each key keeps its own noise keys, and the kernel treats its
     columns independently, so the split changes no value."""
-    chunks = min(_workers(cfg.threads), cfg.trials)
-    bounds = [cfg.trials * i // chunks for i in range(chunks + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pieces = min(pieces, len(keys))
+    bounds = [len(keys) * i // pieces for i in range(pieces + 1)]
+    return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+# Kernel table bytes a quenched chunk aims at, so that a worker's memory does
+# not grow with the seed count; one word's table is at most (256 + s + 1) n^2
+# doubles, 0.4 MB at n=14
+_CHUNK_TABLE_BYTES = 3 * 2**20
+
+
+def _shift_items(cfg: ExperimentConfig) -> list:
+    """Chunks ``(cfg, n, keys)`` of one word length: annealed windows in one
+    chunk per worker, quenched seeds in max(workers, ceil(seeds x table
+    bytes / _CHUNK_TABLE_BYTES)) chunks."""
+    workers = _workers(cfg.threads)
+    if cfg.experiment == "annealed_shift":
+        return _items(cfg, cfg.n_grid, _chunks(range(cfg.trials), workers))
+    table = (_BLOCK_CODES + cfg.base.alphabet_size + 1) * 8
+    return [(cfg, n, keys) for n in cfg.n_grid for keys in _chunks(cfg.seeds, max(
+        workers, math.ceil(len(cfg.seeds) * table * n * n / _CHUNK_TABLE_BYTES)))]
 
 
 def _draw_pattern(cfg: ExperimentConfig, seed, n: int) -> Pattern:
@@ -94,24 +116,18 @@ def _survival_step_cap(cfg: ExperimentConfig, n: int) -> int:
     return max(1, cfg.operation_budget // (n * cfg.fiber.fiber_alphabet_size))
 
 
-def _reduce_sweep(done, keys):
-    """Group finished sweep items, keyed ``(sweep key, subkey)`` with
-    payloads ``(rows, stat)``, by sweep key in key order: each key's rows,
-    concatenated in item order, and its stats by subkey."""
-    rows = {key: [] for key in keys}
-    stats = {key: {} for key in keys}
-    for (key, sub), (item_rows, stat) in done:
-        rows[key].extend(item_rows)
-        stats[key][sub] = stat
-    return rows, stats
-
-
 def _sweep_report(done, keys, xs, per: str, label, stat: str):
-    """Rows by sweep key, and a report with each key's per-item ``stat``
-    and their median.  With three keys or more it adds the trend of the
+    """Group finished sweep items, keyed ``(sweep key, subkey)`` with
+    payloads ``(rows, stat)``, by sweep key: each key's rows, concatenated
+    in item order, and a report with its per-item ``stat`` by subkey and
+    their median.  With three keys or more it adds the trend of the
     medians, fitted over the keys that finished an item; when fewer than
     three did, the trend is null and ``trend_skipped`` says why."""
-    rows, stats = _reduce_sweep(done, keys)
+    rows = {key: [] for key in keys}
+    stats = {key: {} for key in keys}
+    for (key, sub), (item_rows, item_stat) in done:
+        rows[key].extend(item_rows)
+        stats[key][sub] = item_stat
     per_key, fitted = {}, []
     for key, x in zip(keys, xs):
         values = list(stats[key].values())
@@ -131,25 +147,49 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 
 
 # ----------------------------------------------------------------------
-# quenched_shift
+# quenched_shift and annealed_shift
 
 
-def _quenched_item(args):
-    cfg, n, seed = args
-    pat = _draw_pattern(cfg, seed, n)
-    window = sample_window(cfg.base, [seed, 0], n)
-    try:
-        curve = rescaled_survival(cfg.fiber, cfg.base, window, pat, cfg.t_grid,
-                                  step_cap=_survival_step_cap(cfg, n))
-    except ResourceLimitError as exc:
-        return ("truncated", f"quenched n={n} seed={seed}: {exc}")
-    rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
-            for t, k, v in zip(curve.t_grid, curve.k_values, curve.values)]
-    return ("ok", (n, seed), (rows, ks_to_exponential(curve).sup_abs_err))
+def _shift_chunk(args):
+    """Exact rescaled survival of a chunk of one word length in one kernel
+    call: per key ``("ok", (n, key), (ks, values))``, or a truncation marker
+    when its word's k(t) is over the step cap.  A quenched key is a seed
+    with its own word and window; an annealed key is a window of the run's
+    one word, which every chunk draws so that the parent never samples."""
+    cfg, n, keys = args
+    if cfg.experiment == "quenched_shift":
+        columns = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n),
+                    [seed, 0]) for seed in keys]
+    else:
+        pat = _draw_pattern(cfg, cfg.seeds[0], n)
+        columns = [(f"annealed n={n}", pat, [cfg.seeds[0], 0, w]) for w in keys]
+    ks, outcomes, live = {}, [], []
+    for key, (label, pat, noise) in zip(keys, columns):
+        try:
+            if pat not in ks:
+                ks[pat] = _rescaled_k(cfg.t_grid, marginal_cylinder_measure(
+                    cfg.fiber, cfg.base, pat), _survival_step_cap(cfg, n))
+        except ResourceLimitError as exc:
+            outcomes.append(("truncated", f"{label}: {exc}"))
+            continue
+        live.append((key, pat, sample_window(cfg.base, noise, n)))
+    if live:
+        keys, pats, windows = zip(*live)
+        values = _windows_survival(cfg.fiber, pats, windows,
+                                   np.stack([ks[pat] for pat in pats]))
+        outcomes += [("ok", (n, key), (ks[pat], v))
+                     for key, pat, v in zip(keys, pats, values)]
+    return outcomes
 
 
 def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
-    rows, report = _sweep_report(done, cfg.n_grid, cfg.n_grid, "per_n", str,
+    curves = []
+    for (n, seed), (ks, values) in done:
+        rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
+                for t, k, v in zip(cfg.t_grid, ks, values)]
+        sup = ks_to_exponential(values, t_grid=cfg.t_grid).sup_abs_err
+        curves.append(((n, seed), (rows, sup)))
+    rows, report = _sweep_report(curves, cfg.n_grid, cfg.n_grid, "per_n", str,
                                  "sup_abs_err")
     artifacts = {f"survival_n{n}.csv": ("csv", SURVIVAL_COLUMNS, rows[n])
                  for n in cfg.n_grid}
@@ -157,39 +197,17 @@ def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
     return artifacts
 
 
-# ----------------------------------------------------------------------
-# annealed_shift
-
-
-def _annealed_chunk(args):
-    """Exact survival of one contiguous run of windows in one kernel call,
-    or the word length's truncation marker.  Every chunk draws the same word,
-    so that the parent process never samples (nor imports numpy.random)."""
-    cfg, n, windows = args
-    pat = _draw_pattern(cfg, cfg.seeds[0], n)
-    mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-    try:
-        ks = _rescaled_k(np.asarray(cfg.t_grid), mu_a, _survival_step_cap(cfg, n))
-    except ResourceLimitError as exc:   # every window shares the word's k
-        return ("truncated", f"annealed n={n}: {exc}")
-    values = _windows_survival(cfg.fiber, pat, (
-        sample_window(cfg.base, [cfg.seeds[0], 0, widx], n) for widx in windows), ks)
-    return ("ok", (n, windows), ([values], (ks, mu_a)))
-
-
 def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
-    values, words = _reduce_sweep(done, cfg.n_grid)
     artifacts: dict = {}
     per_n: dict = {}
     for n in cfg.n_grid:
+        finished = [payload for (m, _), payload in done if m == n]
         rows = []
-        if values[n]:
-            # every chunk of one word length draws the same word
-            ks, mu_a = next(iter(words[n].values()))
-            # whole chunks, concatenated: the mean's summation order, and so
-            # its last digits, follows the kernel's memory layout
-            curve = _annealed_curve(np.asarray(cfg.t_grid), ks,
-                                    np.concatenate(values[n]), mu_a)
+        if finished:
+            # one word, so one k; windows on the fast axis as the kernel lays
+            # them out, since the mean's last digits follow the memory layout
+            curve = _annealed_curve(np.asarray(cfg.t_grid), finished[0][0],
+                                    np.stack([v for _, v in finished], axis=1).T)
             rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
                     for t, k, m, se in zip(cfg.t_grid, curve.k_values,
                                            curve.mean, curve.stderr)]
@@ -210,7 +228,7 @@ def _ledger_item(args):
     mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
     k = math.floor(t / mu_a)
     if k < 1:
-        return ("truncated", f"ledger n={n} t={t} seed={seed}: k=0, t too small")
+        return [("truncated", f"ledger n={n} t={t} seed={seed}: k=0, t too small")]
     g = min(gap_schedule(n, cfg.fiber.h0), k)
     jmax = max(cfg.jmax_factor * k, g)
     window = sample_window(cfg.base, [seed, 0], n)
@@ -218,12 +236,12 @@ def _ledger_item(args):
         led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g, jmax=jmax,
                              op_budget=cfg.operation_budget)
     except ResourceLimitError as exc:
-        return ("truncated", f"ledger n={n} t={t} seed={seed}: {exc}")
+        return [("truncated", f"ledger n={n} t={t} seed={seed}: {exc}")]
     row = (seed, n, t, led.g, led.k, led.M, led.G, led.H, led.K,
            led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
     ok = (led.lemma_lhs <= led.lemma_rhs + 1e-12
           and led.delta_sum <= led.G + led.H + led.K + 1e-12)
-    return ("ok", (n, t, seed), (row, ok))
+    return [("ok", (n, t, seed), (row, ok))]
 
 
 def _reduce_ledger(cfg: ExperimentConfig, done) -> dict:
@@ -260,7 +278,7 @@ def _entropy_item(args):
     row = (n, float(smb.mean()), _stderr(smb),
            float(ow.mean()) if ow.size else float("nan"), _stderr(ow),
            est.censored[n], cfg.trials)
-    return ("ok", (n,), (row, est.widened_uncertainty))
+    return [("ok", (n,), (row, est.widened_uncertainty))]
 
 
 def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
@@ -290,7 +308,7 @@ def _circle_item(args):
     rows = [(seed, r, t, s, math.exp(-t), out.delta_r, out.trials,
              out.censored_count)
             for t, s in zip(out.t_grid, out.survival)]
-    return ("ok", (r, seed), (rows, out.delta_r))
+    return [("ok", (r, seed), (rows, out.delta_r))]
 
 
 def _reduce_circle(cfg: ExperimentConfig, done) -> dict:
@@ -324,7 +342,7 @@ def _singularity_chunk(args):
         word = Pattern(tuple(make_rng([seed, i, 1]).integers(0, 2, size=n)), 2)
         out = density_ratio(cfg.fiber, cfg.base, window, word)
         rows.append((i, out.match_count, out.log_ratio))
-    return ("ok", (draws,), rows)
+    return [("ok", (draws,), rows)]
 
 
 def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
@@ -343,17 +361,16 @@ def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
 
 # kind -> (items, worker, reduce), in the order of config.EXPERIMENT_KINDS
 KINDS = {
-    "quenched_shift": (lambda cfg: _items(cfg, cfg.n_grid, cfg.seeds),
-                       _quenched_item, _reduce_quenched),
-    "annealed_shift": (lambda cfg: _items(cfg, cfg.n_grid, _chunks(cfg)),
-                       _annealed_chunk, _reduce_annealed),
+    "quenched_shift": (_shift_items, _shift_chunk, _reduce_quenched),
+    "annealed_shift": (_shift_items, _shift_chunk, _reduce_annealed),
     "ledger": (lambda cfg: _items(cfg, cfg.n_grid, cfg.t_grid, cfg.seeds),
                _ledger_item, _reduce_ledger),
     "entropy": (lambda cfg: _items(cfg, cfg.n_grid),
                 _entropy_item, _reduce_entropy),
     "circle_law": (lambda cfg: _items(cfg, cfg.r_grid, cfg.seeds),
                    _circle_item, _reduce_circle),
-    "singularity": (lambda cfg: _items(cfg, _chunks(cfg)),
+    "singularity": (lambda cfg: _items(cfg, _chunks(range(cfg.trials),
+                                                    _workers(cfg.threads))),
                     _singularity_chunk, _reduce_singularity),
 }
 
@@ -410,7 +427,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run every work item of the config's kind in one dispatch, reduce the
     finished ones and write the artifacts; returns the manifest dict."""
     items, worker, reduce = KINDS[cfg.experiment]
-    results = _parallel_map(worker, items(cfg), cfg.threads)
+    results = [out for outs in _parallel_map(worker, items(cfg), cfg.threads)
+               for out in outs]
     truncated = sorted({out[1] for out in results if out[0] == "truncated"})
     done = [out[1:] for out in results if out[0] == "ok"]
     return write_artifacts(cfg, reduce(cfg, done), truncated, out_dir)

@@ -112,7 +112,7 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     # coordinate i+1, and its j-th survival value lands after j+n-1 reads
     s_sym = _column_symbols(symbols, 1, k + gap + 1, n - 1 + jmax)
     s_V = np.tile(np.eye(n)[0], (k + gap + 1, 1))
-    _lockstep(masked, s_sym[:, :n - 1], s_V, [])
+    _lockstep(masked, s_sym, s_V, [n - 1])
 
     # conditional (return) recursions for offsets 1..k, starting from the
     # word's border state, first read at coordinate i+n
@@ -125,7 +125,7 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
         arr_masked = masked_arrival_matrices(fm, aut)
         h_sym = _column_symbols(symbols, n + 1, k, g + jmax)
         h_V = np.tile(np.eye(n + 1)[n], (k, 1))
-        _lockstep(full_step_matrices(fm, aut), h_sym[:, :g], h_V, [])
+        _lockstep(full_step_matrices(fm, aut), h_sym, h_V, [g])
 
     d_sup = np.zeros(k)
     h_sup = np.zeros(k) if g is not None else None
@@ -297,7 +297,6 @@ class EntropyEstimates:
     censored: dict
     h_hat: float
     h0: float
-    cap: int
     widened_uncertainty: bool = False
 
     def ow_mean(self, n: int) -> float:
@@ -349,5 +348,5 @@ def estimate_entropies(fm: FiberMeasure, proc: BaseProcess, n_range,
     return EntropyEstimates(n_values=ns, smb_slopes=smb, ow_slopes=ow,
                             censored=censored,
                             h_hat=float(np.mean(smb[n_top])),
-                            h0=fm.h0, cap=cap,
+                            h0=fm.h0,
                             widened_uncertainty=widened)

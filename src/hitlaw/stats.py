@@ -29,7 +29,6 @@ class CurveReport:
 
     t_grid: np.ndarray
     observed: np.ndarray
-    reference: np.ndarray
     sup_abs_err: float
     stderr: np.ndarray | None = None
 
@@ -57,10 +56,8 @@ def ks_to_exponential(curve, t_grid=None) -> CurveReport:
         raise ValueError("t grid must be non-empty")
     if observed.shape != t.shape:
         raise ValueError("curve and grid lengths differ")
-    reference = np.exp(-t)
-    sup = float(np.max(np.abs(observed - reference)))
-    return CurveReport(t_grid=t, observed=observed, reference=reference,
-                       sup_abs_err=sup, stderr=stderr)
+    sup = float(np.max(np.abs(observed - np.exp(-t))))
+    return CurveReport(t_grid=t, observed=observed, sup_abs_err=sup, stderr=stderr)
 
 
 @dataclass(frozen=True)

@@ -101,31 +101,38 @@ def masked_arrival_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarr
 _BLOCK_CODES = 256
 
 
-def _block_length(s: int, reads: int) -> int:
+def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     length = 1
     while s ** (length + 1) <= _BLOCK_CODES:
         length += 1
-    return length if reads >= 4 * s ** length else 1
+    return np.where(reads >= 4 * s ** length, length, 1)
 
 
 def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
-              block: int | None = None) -> np.ndarray:
+              block: int | None = None, words=0) -> np.ndarray:
     """Advance a (columns, states) block ``V`` of automaton distributions in
-    place, in lockstep over every read of ``sym`` (columns, reads): read r
-    of column c applies ``mats[sym[c, r-1]]``.  Returns column masses, one
-    row per record.
+    place, in lockstep over the reads of the (columns, reads) ``sym``: read
+    r of column c applies ``mats[sym[c, r-1]]``.  Returns column masses,
+    one row per record.
 
     Per-read mode (``record=None``) records after every read; each read is
-    one stacked (s*states, states) product and a per-column select.
-    Otherwise ``record`` holds nondecreasing read counts in 0..reads, and
-    while no record falls inside the next L reads the block jumps L reads
-    at once (``block`` overrides L).  Block mode does one matrix-vector
-    product per column, so a column's values do not depend on which other
-    columns share the call; per-read mode makes no such promise.
+    one stacked (s*states, states) product and a per-column select.  Block
+    mode records at the nondecreasing read counts of ``record``, one list
+    for all columns or one row per column, and each column stops at its
+    last record, so rows of ``sym`` may be padded.  ``mats`` stacks one
+    word's (s, states, states) matrices per word, column c on word
+    ``words[c]``.  Each column runs the schedule of its one-column call: L
+    from its read count (``block`` overrides it), and between records first
+    the L-read blocks, through its word's table of s**L products, then the
+    single reads.  Identity steps pad each stretch to the longest column's,
+    so one step is one gather from the tables and one batched product.  An
+    identity step is exact and each column gets its own product, so a
+    column's values are bit-identical to its one-column call; per-read mode
+    makes no such promise.
     """
-    columns, reads = sym.shape
-    s, states = mats.shape[0], mats.shape[1]
     if record is None:
+        columns, reads = sym.shape
+        s, states = mats.shape[0], mats.shape[1]
         sym = sym.astype(np.intp)   # so the per-read index sum needs no cast
         stacked = mats.reshape(s * states, states).T
         first_row = np.arange(columns) * s   # row of column c's symbol 0
@@ -138,39 +145,90 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
             out[r] = v @ ones
         V[...] = v
         return out
-    length = block or _block_length(s, reads)
-    prods = mats
-    for _ in range(length - 1):   # code c*s + a: block c, then symbol a
-        prods = (mats[np.newaxis] @ prods[:, np.newaxis]).reshape(-1, states, states)
-    weights = s ** np.arange(length - 1, -1, -1)
+    mats = mats[np.newaxis] if mats.ndim == 3 else mats
+    s, states = mats.shape[1:3]
+    record = np.broadcast_to(np.asarray(record, dtype=np.int64),
+                             (len(sym), np.shape(record)[-1]))
+    reads = record[:, -1]
+    length = np.full(len(sym), block) if block else _block_length(s, reads)
+    bounds = np.column_stack([0 * reads, record])
+    jumps, singles = np.divmod(np.diff(bounds, axis=1), length[:, np.newaxis])
+    steps = jumps + singles   # per stretch: the blocks, then the single reads
+    offset = np.cumsum([0, *steps.max(axis=0)])
+    # columns of one word, block length and records share a schedule; one
+    # opaque key per column groups them (np.unique on rows, axis=0, is 5-10
+    # times slower)
+    spec = np.ascontiguousarray(np.column_stack(
+        [np.broadcast_to(words, len(sym)), length, record]))
+    keys = spec.view(np.dtype((np.void, spec.itemsize * spec.shape[1]))).ravel()
+    _, heads, group = np.unique(keys, return_index=True, return_inverse=True)
+    # group g's entries start at first[g]: its word's s**L block products,
+    # then its s matrices; the last entry is the identity, and every index
+    # fits the narrowest dtype that holds the table's length
+    first = np.cumsum([0, *s ** length[heads] + s]).tolist()
+    table = np.empty((first[-1] + 1, states, states))
+    table[-1] = np.eye(states)
+    idx = np.full((offset[-1], len(sym)), first[-1], np.min_scalar_type(first[-1]))
+    for g, h in enumerate(heads):   # h: the group's first column
+        w, L = spec[h, :2].tolist()
+        prods = mats[w]
+        for _ in range(L - 1):   # code c*s + a: block c, then symbol a
+            prods = (mats[w][np.newaxis] @ prods[:, np.newaxis]).reshape(-1, states, states)
+        table[first[g]:first[g + 1]] = np.concatenate([prods, mats[w]])
+        cols = np.flatnonzero(group == g)
+        seg = np.repeat(np.arange(steps[h].size), steps[h])   # each step's stretch
+        j = np.arange(seg.size) - (np.cumsum(steps[h]) - steps[h])[seg]   # its place
+        # a step's first read: the blocks every L reads, then single reads
+        at = bounds[h, seg] + j + (L - 1) * np.minimum(j, jumps[h, seg])
+        # reads gathered along one axis of a view from the group's first row
+        # to its last: three times faster than a (rows, reads) fancy gather;
+        # a strided view (the ledger's) is copied only as far as it is read
+        span = sym[cols[0]:cols[-1] + 1, :reads[h]]
+        code = np.zeros((cols.size, seg.size), dtype=idx.dtype)
+        for pos in np.minimum(at + np.arange(L)[:, np.newaxis], reads[h] - 1):
+            code = code * s + span.take(pos, axis=1)[cols - cols[0]]
+        single = j >= jumps[h, seg]
+        code[:, single] = span.take(at[single], axis=1)[cols - cols[0]]
+        code[:, single] += s ** L
+        code += first[g]
+        idx[np.ix_(offset[seg] + j, cols)] = code.T
     v = V[:, :, np.newaxis]
-    out = np.empty((len(record), columns))
-    r = 0
-    for i, stop in enumerate([*record, reads]):
-        jumps = (stop - r) // length
-        span = sym[:, r:r + jumps * length].reshape(columns, jumps, length)
-        for codes in (span @ weights).T:
-            v = np.matmul(prods[codes], v)
-        for syms in sym[:, r + jumps * length:stop].T:
-            v = np.matmul(mats[syms], v)
-        r = stop
-        if i < len(record):
-            out[i] = v[:, :, 0].sum(axis=1)
+    out = np.empty((record.shape[1], len(sym)))
+    for i in range(record.shape[1]):
+        for step in idx[offset[i]:offset[i + 1]]:
+            v = np.matmul(table.take(step, axis=0), v)
+        out[i] = v[:, :, 0].sum(axis=1)
     V[...] = v[:, :, 0]
     return out
 
 
-def _windows_survival(fm: FiberMeasure, pat: Pattern, windows,
-                      k_grid: np.ndarray) -> np.ndarray:
-    """Exact P(no occurrence starts at coordinates 1..k) at each k of the
-    nondecreasing ``k_grid``, for every window of an iterable at once.
-    Shape (windows, k_grid size)."""
-    n = pat.n
+def _check_survival(values: np.ndarray) -> None:
+    """Survival values lie in [0, 1] and do not increase along the last axis."""
+    if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
+        raise ValueError("survival values must lie in [0, 1]")
+    if np.any(np.diff(values) > 1e-12):
+        raise ValueError("survival values must be nonincreasing in k")
+
+
+def _windows_survival(fm: FiberMeasure, pats, windows, ks) -> np.ndarray:
+    """Exact P(no occurrence of ``pats[c]`` starts at coordinates 1..k) under
+    ``windows[c]`` at each k of ``ks`` (one nondecreasing row, or one per
+    column), in one kernel call.  The words share one length.  Shape
+    (columns, records)."""
+    words = {pat: i for i, pat in enumerate(dict.fromkeys(pats))}
+    n = pats[0].n
     # survival at k is decided after reading coordinates 1 .. k+n-1
-    record = np.where(k_grid == 0, 0, k_grid + n - 1)
-    rows = np.stack([w.prefix(int(record[-1]) + 1)[1:] for w in windows])
-    return _lockstep(masked_step_matrices(fm, build_automaton(pat)), rows,
-                     np.tile(np.eye(n)[0], (rows.shape[0], 1)), record).T
+    record = np.broadcast_to(np.where(ks == 0, 0, ks + n - 1),
+                             (len(pats), np.shape(ks)[-1]))
+    rows = [w.prefix(int(r[-1]) + 1)[1:] for w, r in zip(windows, record)]
+    sym = np.zeros((len(rows), record[:, -1].max()), dtype=rows[0].dtype)
+    for row, symbols in zip(sym, rows):
+        row[:symbols.size] = symbols
+    mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in words])
+    values = _lockstep(mats, sym, np.tile(np.eye(n)[0], (len(rows), 1)), record,
+                       words=[words[p] for p in pats]).T
+    _check_survival(values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -187,10 +245,7 @@ class SurvivalCurve:
             raise ValueError("grid and values must be non-empty and equally long")
         if np.any(np.diff(k) <= 0):
             raise ValueError("k grid must be strictly increasing")
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-            raise ValueError("survival values must lie in [0, 1]")
-        if np.any(np.diff(v) > 1e-12):
-            raise ValueError("survival values must be nonincreasing in k")
+        _check_survival(v)
         object.__setattr__(self, "k_grid", k)
         object.__setattr__(self, "values", v)
 
@@ -228,7 +283,7 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     offset .. offset + k_max + n - 1, drawing those the window lacks.
     """
     grid = _curve_grid(fm, pat, offset, k_max, k_grid)
-    values = _windows_survival(fm, pat, [window.shifted(offset)], grid)[0]
+    values = _windows_survival(fm, [pat], [window.shifted(offset)], grid)[0]
     return SurvivalCurve(k_grid=grid, values=values)
 
 
@@ -260,7 +315,6 @@ class RescaledCurve:
     t_grid: np.ndarray
     k_values: np.ndarray
     values: np.ndarray
-    mu_a: float
 
     @property
     def observed(self) -> np.ndarray:
@@ -283,12 +337,9 @@ def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     """Exact survival at k(t) = floor(t / mu(A)) for each t, where mu(A) is
     the noise-averaged cylinder measure; the value at t = 0 is 1."""
     t = _check_t_grid(t_grid)
-    mu_a = marginal_cylinder_measure(fm, proc, pat)
-    ks = _rescaled_k(t, mu_a, step_cap)
-    curve = quenched_survival(fm, window, pat, k_max=int(ks[-1]),
-                              k_grid=np.unique(ks))
-    values = curve.values[np.searchsorted(curve.k_grid, ks)]
-    return RescaledCurve(t_grid=t, k_values=ks, values=values, mu_a=mu_a)
+    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat), step_cap)
+    values = _windows_survival(fm, [pat], [window], ks)[0]
+    return RescaledCurve(t_grid=t, k_values=ks, values=values)
 
 
 _SCAN_BLOCK = 4096
@@ -346,7 +397,6 @@ class AnnealedCurve:
     mean: np.ndarray
     stderr: np.ndarray
     n_windows: int
-    mu_a: float
 
     @property
     def observed(self) -> np.ndarray:
@@ -364,18 +414,17 @@ def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
     t = _check_t_grid(t_grid)
-    mu_a = marginal_cylinder_measure(fm, proc, pat)
-    ks = _rescaled_k(t, mu_a, step_cap)
-    values = _windows_survival(fm, pat, (sample_window(proc, [seed, i], pat.n)
-                                         for i in range(n_windows)), ks)
-    return _annealed_curve(t, ks, values, mu_a)
+    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat), step_cap)
+    values = _windows_survival(fm, [pat] * n_windows,
+                               [sample_window(proc, [seed, i], pat.n)
+                                for i in range(n_windows)], ks)
+    return _annealed_curve(t, ks, values)
 
 
-def _annealed_curve(t: np.ndarray, ks: np.ndarray, values: np.ndarray,
-                    mu_a: float) -> AnnealedCurve:
+def _annealed_curve(t: np.ndarray, ks: np.ndarray, values: np.ndarray) -> AnnealedCurve:
     """Mean and standard error over the windows, one row of ``values`` each."""
     n_windows = values.shape[0]
     stderr = (values.std(axis=0, ddof=1) / math.sqrt(n_windows) if n_windows > 1
               else np.zeros(t.size))
     return AnnealedCurve(t_grid=t, k_values=ks, mean=values.mean(axis=0),
-                         stderr=stderr, n_windows=n_windows, mu_a=mu_a)
+                         stderr=stderr, n_windows=n_windows)

@@ -67,6 +67,19 @@ def test_orbit_matches_rational_oracle(rds):
         assert got == want
 
 
+def test_noise_bits_must_be_binary(rds):
+    # a window on a binary base is read unchecked; any other noise is checked
+    x0 = CirclePoint.from_fraction(1, 7)
+    three = sample_window(BaseProcess.bernoulli([0.1, 0.1, 0.8]), 3, 1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        random_orbit(rds, three, x0, 40)
+    with pytest.raises(ValueError, match="0 or 1"):
+        random_orbit(rds, [0, 1, 2], x0, 3)
+    fair = sample_window(BaseProcess.bernoulli([0.5, 0.5]), 3, 1)
+    want = random_orbit(rds, fair.prefix(40).tolist(), x0, 40).points()
+    assert random_orbit(rds, fair, x0, 40).points() == want
+
+
 def test_orbit_budget_enforced(rds):
     p = CirclePoint.uniform(make_rng(2), required_bits(50, 3))
     random_orbit(rds, [0] * 50, p, 50)   # fits

@@ -257,6 +257,14 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     ledger = _tiny_tree(experiment="ledger", seeds=[1, 2, 3],
                         sweep={"n": [2, 4], "t": [0.5, 1.0]})
     quenched = _tiny_tree(seeds=[1, 2, 3], sweep={"n": [2, 3, 4], "t": [0.0, 1.0]})
+    # a Markov base gives every word its own mu(A), so the columns of one
+    # chunk have their own records and pad; at n=10, 16 seeds make two
+    # chunks even at one worker, and the budget puts about half of each
+    # chunk's seeds over the step cap
+    quenched_markov = _tiny_tree(
+        seeds=list(range(1, 17)), operation_budget=106_000,
+        base={"kind": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
+        sweep={"n": [4, 10], "t": [0.0, 1.0, 2.5, 5.0]})
     entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=10,
                          sweep={"n": [4, 6]})
     singularity = _tiny_tree(experiment="singularity", seeds=[3], trials=7,
@@ -266,6 +274,7 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     for label, tree in (("annealed", annealed),
                         ("annealed_truncated", annealed_truncated),
                         ("ledger", ledger), ("quenched", quenched),
+                        ("quenched_markov", quenched_markov),
                         ("entropy", entropy), ("singularity", singularity),
                         ("circle", circle)):
         outs, truncated = [], []
@@ -278,7 +287,8 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
             truncated.append(manifest["truncated"])
         assert outs[0] == outs[1] == outs[2], label
         assert truncated[0] == truncated[1] == truncated[2], label
-        assert bool(truncated[0]) == (label == "annealed_truncated"), label
+        assert bool(truncated[0]) == (label in ("annealed_truncated",
+                                                "quenched_markov")), label
 
 
 def test_threads_zero_follows_cpu_affinity(tmp_path, monkeypatch):
