@@ -31,13 +31,21 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_stochastic(a: np.ndarray, what: str) -> None:
+    """The one rule for probability vectors and the rows of stochastic
+    matrices: entries strictly inside (0, 1), each summing to 1 within
+    1e-12 (a vector is one row)."""
+    if not np.all((a > 0.0) & (a < 1.0)):
+        raise ValueError(f"{what} entries must lie strictly inside (0, 1)")
+    if np.max(np.abs(a.sum(axis=-1) - 1.0)) > _STOCHASTIC_ATOL:
+        raise ValueError(f"{what} not stochastic: sums must be 1 within "
+                         f"{_STOCHASTIC_ATOL}")
+
+
 def _check_probability_vector(w: np.ndarray, what: str) -> None:
     if w.ndim != 1 or w.size < 2:
         raise ValueError(f"{what} must be a vector of length >= 2")
-    if not np.all((w > 0.0) & (w < 1.0)):
-        raise ValueError(f"{what} entries must lie strictly inside (0, 1)")
-    if abs(float(w.sum()) - 1.0) > _STOCHASTIC_ATOL:
-        raise ValueError(f"{what} must sum to 1 within {_STOCHASTIC_ATOL}")
+    _check_stochastic(w, what)
 
 
 def stationary_distribution(q: np.ndarray) -> np.ndarray:
@@ -77,10 +85,7 @@ class BaseProcess:
             q = np.asarray(self.transition, dtype=float)
             if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
                 raise ValueError("transition must be a square matrix of size >= 2")
-            if not np.all((q > 0.0) & (q < 1.0)):
-                raise ValueError("transition entries must lie strictly inside (0, 1)")
-            if np.max(np.abs(q.sum(axis=1) - 1.0)) > _STOCHASTIC_ATOL:
-                raise ValueError("transition rows not stochastic (within 1e-12)")
+            _check_stochastic(q, "transition")
             pi = (
                 stationary_distribution(q)
                 if self.stationary is None

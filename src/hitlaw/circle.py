@@ -242,24 +242,16 @@ def _ball_arc(target: BallTarget, denominator: int):
 def _step_scan(num: int, den: int, bits: list, muls: tuple, arc,
                cap: int) -> int | None:
     """First k in [1, cap] at which the orbit of num/den lies on ``arc``,
-    or None: one exact step at a time, the fastest scan for one point and
-    the only one for a denominator that is not a power of two."""
+    or None: one exact step at a time, for any denominator."""
     if arc is None:
         return None
     lo, span = arc
     hi = lo + span
     wrap = hi - den                        # last numerator past 0, if >= 0
-    if den & (den - 1) == 0:
-        mask = den - 1
-        for k in range(1, cap + 1):
-            num = (num * muls[bits[k - 1]]) & mask
-            if lo <= num <= hi or num <= wrap:
-                return k
-    else:
-        for k in range(1, cap + 1):
-            num = (num * muls[bits[k - 1]]) % den
-            if lo <= num <= hi or num <= wrap:
-                return k
+    for k in range(1, cap + 1):
+        num = (num * muls[bits[k - 1]]) % den
+        if lo <= num <= hi or num <= wrap:
+            return k
     return None
 
 

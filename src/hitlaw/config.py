@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -23,7 +22,7 @@ import numpy as np
 import yaml
 
 from .base_process import BaseProcess
-from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS, required_bits
+from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS
 from .fiber import FiberMeasure, _check_base_alphabet, _is_binary_symmetric
 from .stats import _check_t_grid
 
@@ -187,7 +186,7 @@ def _parse(tree: dict) -> tuple:
         if kind == "ledger" and t_grid and t_grid[0] <= 0:
             v.append("sweep.t: ledger needs strictly positive t values")
     jmax_factor = _section(tree, "ledger", v).get("jmax_factor", 4)
-    # compute_ledger needs jmax = jmax_factor * k to cover k
+    # compute_ledger needs jmax = jmax_factor * k to cover k, hence g <= k
     if not _is_int(jmax_factor) or jmax_factor < 1:
         v.append("ledger.jmax_factor: must be an integer >= 1")
 
@@ -199,18 +198,6 @@ def _parse(tree: dict) -> tuple:
         r_grid = _grid(sweep.get("r"), "sweep.r", v, sign=-1)
         for r in r_grid:
             _attempt(v, "sweep.r", BallTarget, 0.0, r)
-        bits = circle.get("precision_bits")
-        if bits is not None and not _is_int(bits):
-            v.append("circle.precision_bits: must be an integer")
-        elif bits is not None and not v:   # the horizon needs valid t and r
-            try:
-                horizon = BallTarget(0.0, r_grid[-1]).horizon(t_grid[-1])
-                need = required_bits(horizon, rds.max_multiplier)
-            except OverflowError:   # a horizon that no budget covers
-                horizon = need = math.inf
-            if bits < need:
-                v.append(f"circle.precision_bits: horizon {horizon} needs "
-                         f">= {need} bits, got {bits}")
     if v:
         return None, v
     return ExperimentConfig(

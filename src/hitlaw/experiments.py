@@ -230,10 +230,10 @@ def _ledger_item(args):
     if k < 1:
         return [("truncated", f"ledger n={n} t={t} seed={seed}: k=0, t too small")]
     g = min(gap_schedule(n, cfg.fiber.h0), k)
-    jmax = max(cfg.jmax_factor * k, g)
     window = sample_window(cfg.base, [seed, 0], n)
     try:
-        led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g, jmax=jmax,
+        led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g,
+                             jmax=cfg.jmax_factor * k,
                              op_budget=cfg.operation_budget)
     except ResourceLimitError as exc:
         return [("truncated", f"ledger n={n} t={t} seed={seed}: {exc}")]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_process import BaseProcess, BaseWindow
+from .base_process import BaseProcess, BaseWindow, _check_stochastic
 from .errors import UnsupportedConfigError
 
 _ATOL = 1e-12
@@ -36,10 +36,7 @@ class FiberMeasure:
         w = np.asarray(self.W, dtype=float)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 2:
             raise ValueError("W must be a matrix with at least 2 columns")
-        if not np.all((w > 0.0) & (w < 1.0)):
-            raise ValueError("W entries must lie strictly inside (0, 1)")
-        if np.max(np.abs(w.sum(axis=1) - 1.0)) > _ATOL:
-            raise ValueError("W rows not stochastic (within 1e-12)")
+        _check_stochastic(w, "W")
         object.__setattr__(self, "W", w)
 
     @property

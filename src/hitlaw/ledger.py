@@ -237,22 +237,17 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
 
 def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
                            window: BaseWindow, pat: Pattern, t: float,
-                           jmax: int | None = None,
                            op_budget: int | None = None):
     """Both sides of the survival-vs-product bound, evaluated exactly.
 
     Returns (lhs, rhs, passed): lhs is |survival(k) - prod(1 - mu_i)|, rhs
-    the discrepancy-weighted prefix-product sum.  jmax defaults to k, which
-    already certifies the bound (the unrolled recursion consults j < k).
-    ``op_budget`` prices the recursions as in :func:`compute_ledger`, with
-    no gap terms.
+    the discrepancy-weighted prefix-product sum.  The recursions run to
+    jmax = k, which certifies the bound (the unrolled recursion consults
+    j < k).  ``op_budget`` prices them as in :func:`compute_ledger` at that
+    jmax, with no gap terms.
     """
     k = _horizon(fm, proc, pat, t)
-    jmax = k if jmax is None else jmax
-    if jmax < k:
-        raise ValueError("jmax must be >= k")
-
-    (lhs, rhs) = _delta_terms(fm, window, pat, k, jmax, None, op_budget)[2]
+    (lhs, rhs) = _delta_terms(fm, window, pat, k, k, None, op_budget)[2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

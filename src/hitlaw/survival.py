@@ -256,53 +256,44 @@ class SurvivalCurve:
         return float(self.values[idx])
 
 
-def _curve_grid(fm: FiberMeasure, pat: Pattern, offset: int, k_max: int,
-                k_grid) -> np.ndarray:
-    """The k grid (default 0..k_max) of an exact curve seen from ``offset``,
-    once the word fits the fiber."""
+def _curve_grid(fm: FiberMeasure, pat: Pattern, offset: int,
+                k_max: int) -> np.ndarray:
+    """The k grid 0..k_max of an exact curve seen from ``offset``, once the
+    word fits the fiber."""
     _check_compatible(fm, pat)
     if offset < 0 or k_max < 0:
         raise ValueError("offset and k_max must be >= 0")
-    if k_grid is None:
-        return np.arange(k_max + 1, dtype=np.int64)
-    grid = np.asarray(k_grid, dtype=np.int64)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] < 0:
-        raise ValueError("k grid must be strictly increasing and nonnegative")
-    if grid[-1] > k_max:
-        raise ValueError("k grid exceeds k_max")
-    return grid
+    return np.arange(k_max + 1, dtype=np.int64)
 
 
 def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                      offset: int = 0, k_max: int = 0,
-                      k_grid=None) -> SurvivalCurve:
-    """Exact P(no occurrence starts at coordinates 1..k) for each k on the
-    grid (default 0..k_max), under the noise seen from ``offset``.
+                      offset: int = 0, k_max: int = 0) -> SurvivalCurve:
+    """Exact P(no occurrence starts at coordinates 1..k) for k = 0..k_max,
+    under the noise seen from ``offset``.
 
     Cost O(k_max * n * b); the curve reads noise symbols
     offset .. offset + k_max + n - 1, drawing those the window lacks.
     """
-    grid = _curve_grid(fm, pat, offset, k_max, k_grid)
+    grid = _curve_grid(fm, pat, offset, k_max)
     values = _windows_survival(fm, [pat], [window.shifted(offset)], grid)[0]
     return SurvivalCurve(k_grid=grid, values=values)
 
 
 def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                                offset: int = 0, k_max: int = 0,
-                                k_grid=None) -> SurvivalCurve:
+                                offset: int = 0, k_max: int = 0) -> SurvivalCurve:
     """Exact joint probability P(word occupies coordinates 0..n-1 and no
-    occurrence starts at coordinates 1..j), for each j on the grid.
+    occurrence starts at coordinates 1..j), for j = 0..k_max.
 
     Dividing by the cylinder measure (the value at j = 0) turns this into
     the conditional return-time survival.  The automaton starts from the
     word's longest proper border, i.e. the state reached after reading the
     word, and the recursion runs from coordinate n onward.
     """
-    grid = _curve_grid(fm, pat, offset, k_max, k_grid)
+    grid = _curve_grid(fm, pat, offset, k_max)
     n = pat.n
     weight = fiber_cylinder_measure(fm, window, pat, offset)
     aut = build_automaton(pat)
-    symbols = window.prefix(offset + n + int(grid[-1]))[offset + n:]
+    symbols = window.prefix(offset + n + k_max)[offset + n:]
     values = weight * _lockstep(masked_step_matrices(fm, aut), symbols[np.newaxis],
                                 np.eye(n)[[aut.border]], grid)[:, 0]
     return SurvivalCurve(k_grid=grid, values=values)

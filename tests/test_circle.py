@@ -278,7 +278,7 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
 
 
 @settings(max_examples=300, deadline=None)
-@given(den=st.integers(3, 2**40).filter(lambda d: d & (d - 1)),
+@given(den=st.integers(3, 2**40) | st.integers(1, 40).map(lambda w: 1 << w),
        num=st.integers(0, 2**40), bits=st.lists(st.integers(0, 1), min_size=1,
                                                  max_size=60),
        muls=st.sampled_from([(2, 3), (2, 5), (3, 4), (6, 7)]),
@@ -288,9 +288,11 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
 @example(den=7, num=1, bits=[0, 0, 0], muls=(2, 3), center=0.95, radius=0.2)
 # the ball starts below 0: 2/5 -> 4/5 lies at distance 1/4 < 0.3 from 0.05
 @example(den=5, num=2, bits=[0], muls=(2, 3), center=0.05, radius=0.3)
+# a dyadic denominator: 3/8 -> 9/8 wraps to 1/8, inside the ball about 0.2
+@example(den=8, num=3, bits=[1], muls=(2, 3), center=0.2, radius=0.1)
 def test_hitting_time_ball_matches_exact_distance_scan(den, num, bits, muls,
                                                        center, radius):
-    # non-dyadic denominators take the one-step scan's % branch
+    # the one-step scan serves dyadic and non-dyadic denominators alike
     rds = CircleRDS(multipliers=muls)
     x0 = CirclePoint.from_fraction(num, den)
     (want,) = _one_step_hits([x0.numerator], den, bits, muls,

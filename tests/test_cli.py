@@ -9,7 +9,6 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitlaw.circle import CircleRDS, quenched_law_statistic, required_bits
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
 from hitlaw.experiments import KINDS, run_experiment
@@ -54,26 +53,30 @@ def test_validate_requires_explicit_seeds():
     assert any("seeds" in p for p in validate(tree))
 
 
-def test_validate_circle_precision_budget():
+@pytest.mark.parametrize("bits", ["many", 1, 10**6])
+def test_circle_precision_bits_is_ignored(tmp_path, bits):
+    # the circle law sizes its precision from the scan horizon itself, so
+    # a precision_bits key is an unknown key like any other
     tree = {
         "experiment": "circle_law",
         "seeds": [1],
         "trials": 100,
-        "circle": {"multipliers": [2, 3], "precision_bits": 100},
-        "sweep": {"t": [0.0, 1.0, 5.0], "r": [0.001]},
+        "threads": 1,
+        "circle": {"multipliers": [2, 3]},
+        "sweep": {"t": [0.0, 0.5, 1.0], "r": [0.05]},
     }
-    problems = validate(tree)
-    assert len(problems) == 1 and "bits" in problems[0]
-    # the required number of bits is named in the message
-    assert any(ch.isdigit() for ch in problems[0].split(">=")[1])
-    # validate reads the horizon the circle law scans to, at the smallest r
-    law = quenched_law_statistic(CircleRDS((2, 3)), [0], 0.5, 0.001,
-                                 tree["sweep"]["t"], trials=100, seed=1, cap=1)
-    need = required_bits(int(law.k_values[-1]), 3)
-    tree["circle"]["precision_bits"] = need
-    assert validate(tree) == []
-    tree["circle"]["precision_bits"] = need - 1
-    assert [p.split(":")[0] for p in validate(tree)] == ["circle.precision_bits"]
+    with_key = copy.deepcopy(tree)
+    with_key["circle"]["precision_bits"] = bits
+    hashes, csvs = [], []
+    for name, t in (("plain", tree), ("keyed", with_key)):
+        cfg = _write(tmp_path, t, f"{name}.yaml")
+        assert main(["validate", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        hashes.append(manifest["config_hash"])
+        csvs.append((tmp_path / name / "circle.csv").read_bytes())
+    assert hashes[0] == hashes[1] == build_config(with_key).config_hash()
+    assert csvs[0] == csvs[1]
 
 
 def test_unknown_kind_short_circuits():
@@ -397,8 +400,6 @@ _BAD_TREES = {
         sweep={"n": [2, 3], "t": {"start": 0.0, "stop": "two", "step": 0.5}})),
     "n-string": ("sweep.n", _tiny_tree(sweep={"n": ["two"], "t": [0.0, 1.0]})),
     "r-string": ("sweep.r", dict(_CIRCLE, sweep={"t": [0.0, 1.0], "r": ["wide"]})),
-    "precision-bits-string": ("circle.precision_bits", dict(
-        _CIRCLE, circle={"multipliers": [2, 3], "precision_bits": "many"})),
 }
 
 

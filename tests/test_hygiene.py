@@ -1,15 +1,20 @@
 """Dead-code checks over the package source, by its syntax tree alone.
 
-An import a module never uses, or a module-level private name nothing in
-the package reads, is left over from a change that removed its last use.
+An import a module never uses, a module-level private name nothing in the
+package reads, or a parameter default that no call overrides is left over
+from a change that removed its last use.
 """
 
 import ast
+import math
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hitlaw"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hitlaw"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = [ast.parse(path.read_text(encoding="utf-8"))
+                for path in sorted(TESTS.glob("*.py"))]
 
 
 def _loaded_names(tree) -> set:
@@ -65,3 +70,59 @@ def test_every_private_module_level_name_is_read():
               if ident.startswith("_") and not ident.startswith("__")
               and ident not in reads]
     assert unread == []
+
+
+def _defaulted_parameters():
+    """(where, callee, parameter, position) of each parameter with a default
+    on a package function or method.  ``callee`` is the name a call uses
+    (the class, for ``__init__``); ``position`` counts the arguments a call
+    passes (self or cls excluded), None for a keyword-only parameter."""
+    for name, tree in MODULES.items():
+        scopes = [(None, tree.body)] + [(node.name, node.body)
+                                        for node in ast.walk(tree)
+                                        if isinstance(node, ast.ClassDef)]
+        for cls, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                if cls is not None:   # a call never passes self or cls
+                    positional = positional[1:]
+                where = f"{name}:{fn.lineno} {fn.name}"
+                callee = cls if fn.name == "__init__" else fn.name
+                first = len(positional) - len(a.defaults)
+                for pos in range(first, len(positional)):
+                    yield where, callee, positional[pos].arg, pos
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield where, callee, arg.arg, None
+
+
+def _call_arguments(trees) -> tuple:
+    """Per callee name, the keywords any call passes (None for a ``**``
+    splat, which passes them all) and the most positional arguments any call
+    passes (infinite for a ``*`` splat)."""
+    keywords: dict = {}
+    positions: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            callee = (f.id if isinstance(f, ast.Name)
+                      else f.attr if isinstance(f, ast.Attribute) else None)
+            keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
+            count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positions[callee] = max(positions.get(callee, 0), count)
+    return keywords, positions
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    keywords, positions = _call_arguments(list(MODULES.values()) + TEST_MODULES)
+    never = [f"{where}({param})"
+             for where, callee, param, pos in _defaulted_parameters()
+             if not ({param, None} & keywords.get(callee, set())
+                     or (pos is not None and pos < positions.get(callee, 0)))]
+    assert never == []

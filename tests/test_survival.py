@@ -205,6 +205,19 @@ def test_rescaled_step_cap(coin_pair):
     assert "4.0" in str(exc.value)
 
 
+def test_annealed_step_cap(coin_pair):
+    # the cap refuses the whole grid at the first t whose k(t) exceeds it
+    proc, fm = coin_pair
+    pat = Pattern((0,) * 10, 2)
+    with pytest.raises(ResourceLimitError) as exc:
+        annealed_survival(fm, proc, pat, [0.0, 0.05, 4.0], n_windows=3, seed=1,
+                          step_cap=100)
+    assert "4.0" in str(exc.value)
+    out = annealed_survival(fm, proc, pat, [0.0, 0.05], n_windows=3, seed=1,
+                            step_cap=100)
+    assert 0 < out.k_values[-1] <= 100
+
+
 def test_sample_hitting_geometric_case():
     # near-certain symbol: hitting time 1 with probability ~0.999
     fm = FiberMeasure([[0.999, 0.001], [0.999, 0.001]])
