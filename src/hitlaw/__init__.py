@@ -15,7 +15,7 @@ from .base_process import (BaseProcess, BaseWindow, base_cylinder_prob,
 from .circle import (BallTarget, CirclePoint, CircleRDS, aperiodicity_probe,
                      circle_distance, hitting_time_ball, quenched_law_statistic,
                      random_orbit, required_bits)
-from .errors import PrecisionBudgetError, ResourceLimitError, UnsupportedConfigError
+from .errors import PrecisionBudgetError, UnsupportedConfigError
 from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
                     density_ratio, fiber_cylinder_measure,
                     marginal_cylinder_measure, sample_fiber_prefix)

@@ -1,8 +1,9 @@
 """Command-line entry point: run, validate, list-experiments.
 
 Exit codes: 0 success, 1 config validation failure, 2 budget exhaustion
-(partial results were written, with truncation markers in the manifest),
-3 internal error.
+(the run priced some item over ``operation_budget`` column-state reads and
+cut it before any of its work; the other results were written, with one
+truncation marker per cut item in the manifest), 3 internal error.
 """
 
 from __future__ import annotations

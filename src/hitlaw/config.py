@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -84,7 +85,7 @@ def _real(x) -> float | None:
 
 
 def _expand_t_grid(spec):
-    """A ``sweep.t`` list as is, or {start, stop, step} spelled out."""
+    """A ``sweep.t`` list as is, or {start, stop, step} spelled out to stop."""
     if not isinstance(spec, dict):
         return spec
     start, stop, step = (_real(spec.get("start", 0.0)), _real(spec.get("stop")),
@@ -92,7 +93,8 @@ def _expand_t_grid(spec):
     if None in (start, stop, step) or step <= 0 or \
             not (stop - start) / step < _MAX_GRID:
         return None
-    return [start + i * step for i in range(round((stop - start) / step) + 1)]
+    points = math.floor((stop - start) / step + 1e-9) + 1   # 1e-9: float error
+    return [start + i * step for i in range(points)]
 
 
 def _grid(values, what: str, v: list, integer=False, sign=1, rule=None) -> tuple:

@@ -1,13 +1,12 @@
 """Exception types shared across the package.
 
 Invalid arguments raise the built-in ``ValueError``; the classes here cover
-failure modes that callers are expected to catch and handle (budget
-exhaustion, unsupported model shapes).
+failure modes that callers are expected to catch and handle (an orbit past
+its precision, unsupported model shapes).  A run's ``operation_budget`` is
+not one of them: ``hitlaw.experiments`` prices each item of a run before
+computing it and truncates an item priced over the budget, so no library
+function raises for cost.
 """
-
-
-class ResourceLimitError(RuntimeError):
-    """An exact computation would exceed the configured operation budget."""
 
 
 class PrecisionBudgetError(RuntimeError):

@@ -13,7 +13,9 @@ Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
 of columns of one word length, each chunk one kernel call, and quenched
 chunks are sized by kernel table bytes (``_shift_items``); every column's
-curve is bit-identical however the columns are chunked.
+curve is bit-identical however the columns are chunked.  Each exact item is
+priced in column-state reads before it draws its noise, and one priced over
+``operation_budget`` is truncated (``_over_budget``).
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from . import __version__
 from .base_process import make_rng, sample_window
 from .circle import CircleRDS, quenched_law_statistic
 from .config import ExperimentConfig
-from .errors import ResourceLimitError
 from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fiber_prefix
-from .ledger import (compute_ledger, estimate_entropies, gap_schedule,
-                     verify_sandwich)
+from .ledger import (_ledger_price, compute_ledger, estimate_entropies,
+                     gap_schedule, verify_sandwich)
 from .stats import ks_to_exponential, trend_report
 from .survival import (_BLOCK_CODES, _annealed_curve, _rescaled_k,
                        _windows_survival)
@@ -112,8 +113,12 @@ def _draw_pattern(cfg: ExperimentConfig, seed, n: int) -> Pattern:
     return Pattern(tuple(xs), cfg.fiber.fiber_alphabet_size)
 
 
-def _survival_step_cap(cfg: ExperimentConfig, n: int) -> int:
-    return max(1, cfg.operation_budget // (n * cfg.fiber.fiber_alphabet_size))
+def _over_budget(label: str, price: int, budget: int) -> str | None:
+    """The truncation marker of an item priced over ``budget`` column-state
+    reads (kernel column-reads times automaton states), else None."""
+    if price > budget:
+        return f"{label}: needs {price} column-state reads, over the budget {budget}"
+    return None
 
 
 def _sweep_report(done, keys, xs, per: str, label, stat: str):
@@ -153,28 +158,33 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 def _shift_chunk(args):
     """Exact rescaled survival of a chunk of one word length in one kernel
     call: per key ``("ok", (n, key), (ks, values))``, or a truncation marker
-    when its word's k(t) is over the step cap.  A quenched key is a seed
+    when its word is priced over the budget, n states times k(t_max) + n - 1
+    reads per column, before its window is drawn.  A quenched key is a seed
     with its own word and window; an annealed key is a window of the run's
-    one word, which every chunk draws so that the parent never samples."""
+    one word, which every chunk draws and prices at all ``cfg.trials``
+    windows, so that the parent never samples and every chunk prices it alike."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
         columns = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n),
                     [seed, 0]) for seed in keys]
+        copies = 1
     else:
         pat = _draw_pattern(cfg, cfg.seeds[0], n)
         columns = [(f"annealed n={n}", pat, [cfg.seeds[0], 0, w]) for w in keys]
-    ks, outcomes, live = {}, [], []
+        copies = cfg.trials
+    mus, outcomes, live = {}, [], []
     for key, (label, pat, noise) in zip(keys, columns):
-        try:
-            if pat not in ks:
-                ks[pat] = _rescaled_k(cfg.t_grid, marginal_cylinder_measure(
-                    cfg.fiber, cfg.base, pat), _survival_step_cap(cfg, n))
-        except ResourceLimitError as exc:
-            outcomes.append(("truncated", f"{label}: {exc}"))
-            continue
-        live.append((key, pat, sample_window(cfg.base, noise, n)))
+        if pat not in mus:
+            mus[pat] = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
+        price = copies * n * (math.floor(cfg.t_grid[-1] / mus[pat]) + n - 1)
+        marker = _over_budget(label, price, cfg.operation_budget)
+        if marker:
+            outcomes.append(("truncated", marker))
+        else:
+            live.append((key, pat, sample_window(cfg.base, noise, n)))
     if live:
         keys, pats, windows = zip(*live)
+        ks = {pat: _rescaled_k(cfg.t_grid, mus[pat]) for pat in pats}
         values = _windows_survival(cfg.fiber, pats, windows,
                                    np.stack([ks[pat] for pat in pats]))
         outcomes += [("ok", (n, key), (ks[pat], v))
@@ -224,19 +234,19 @@ def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
 
 def _ledger_item(args):
     cfg, n, t, seed = args
+    label = f"ledger n={n} t={t} seed={seed}"
     pat = _draw_pattern(cfg, seed, n)
-    mu_a = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-    k = math.floor(t / mu_a)
+    k = math.floor(t / marginal_cylinder_measure(cfg.fiber, cfg.base, pat))
     if k < 1:
-        return [("truncated", f"ledger n={n} t={t} seed={seed}: k=0, t too small")]
+        return [("truncated", f"{label}: k=0, t too small")]
     g = min(gap_schedule(n, cfg.fiber.h0), k)
+    marker = _over_budget(label, _ledger_price(n, k, g, cfg.jmax_factor * k),
+                          cfg.operation_budget)
+    if marker:
+        return [("truncated", marker)]
     window = sample_window(cfg.base, [seed, 0], n)
-    try:
-        led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g,
-                             jmax=cfg.jmax_factor * k,
-                             op_budget=cfg.operation_budget)
-    except ResourceLimitError as exc:
-        return [("truncated", f"ledger n={n} t={t} seed={seed}: {exc}")]
+    led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g,
+                         jmax=cfg.jmax_factor * k)
     row = (seed, n, t, led.g, led.k, led.M, led.G, led.H, led.K,
            led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
     ok = (led.lemma_lhs <= led.lemma_rhs + 1e-12

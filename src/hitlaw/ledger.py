@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_process import BaseProcess, BaseWindow, make_rng, sample_window
-from .errors import ResourceLimitError
 from .fiber import (FiberMeasure, Pattern, _check_compatible, _cylinder_measures,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
@@ -81,10 +80,16 @@ def _column_symbols(symbols: np.ndarray, first: int, columns: int,
         symbols[first:first + columns + reads - 1], reads)
 
 
+def _ledger_price(n: int, k: int, g: int, jmax: int) -> int:
+    """Column-reads times states of :func:`compute_ledger`'s survival,
+    conditional and delayed-mask recursions,
+    n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax)."""
+    return n * ((k + g + 1) * (n - 1 + jmax) + k * jmax) + (n + 1) * k * (g + jmax)
+
+
 def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
-                 jmax: int, g: int | None, op_budget: int | None):
-    """Batched exact evaluation of the per-offset discrepancies, refused
-    before any read when its recursions cost more than ``op_budget``.
+                 jmax: int, g: int | None):
+    """Batched exact evaluation of the per-offset discrepancies.
 
     Returns (mu, delta, both sides of the recursion bound, the one-miss
     product) and, when a gap g is given, also (conditional mass at g,
@@ -92,15 +97,6 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     """
     n = pat.n
     gap = g or 0
-    # column-reads times states of the survival, conditional and, with a
-    # gap, delayed-mask recursions below
-    price = n * ((k + gap + 1) * (n - 1 + jmax) + k * jmax)
-    if g is not None:
-        price += (n + 1) * k * (g + jmax)
-    if op_budget is not None and price > op_budget:
-        raise ResourceLimitError(
-            f"ledger recursions need {price} column-state reads, over the "
-            f"budget {op_budget}")
     symbols = window.prefix(k + gap + jmax + n)
     aut = build_automaton(pat)
     masked = masked_step_matrices(fm, aut)
@@ -200,17 +196,17 @@ def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
 
 
 def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
-                   pat: Pattern, t: float, g: int, jmax: int | None = None,
-                   op_budget: int | None = None) -> ErrorLedger:
+                   pat: Pattern, t: float, g: int,
+                   jmax: int | None = None) -> ErrorLedger:
     """Exact M, G, H, K, delta and both sides of the recursion bound for the
     cylinder of ``pat`` at horizon t with gap g.
 
     k = floor(t / mu(A)) with mu(A) the noise-averaged cylinder measure;
     requires 1 <= g <= k, and jmax defaults to 4k.  The recursions read
-    noise symbols 0 .. k + g + jmax + n - 1, drawing those the window lacks.
-    ``op_budget`` bounds their column-reads times automaton states,
-    n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax); a ledger priced over
-    it raises ResourceLimitError before reading any noise.
+    noise symbols 0 .. k + g + jmax + n - 1, drawing those the window lacks,
+    and cost column-reads times automaton states as priced by
+    ``_ledger_price``; a run truncates a ledger priced over its budget
+    before calling this.
     """
     k = _horizon(fm, proc, pat, t)
     if not 1 <= g <= k:
@@ -220,7 +216,7 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
         raise ValueError("jmax must cover both k and g")
 
     mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup = _delta_terms(
-        fm, window, pat, k, jmax, g, op_budget)
+        fm, window, pat, k, jmax, g)
     m_sum = math.fsum(mu)
     return ErrorLedger(
         n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
@@ -236,18 +232,16 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
 
 
 def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
-                           window: BaseWindow, pat: Pattern, t: float,
-                           op_budget: int | None = None):
+                           window: BaseWindow, pat: Pattern, t: float):
     """Both sides of the survival-vs-product bound, evaluated exactly.
 
     Returns (lhs, rhs, passed): lhs is |survival(k) - prod(1 - mu_i)|, rhs
     the discrepancy-weighted prefix-product sum.  The recursions run to
     jmax = k, which certifies the bound (the unrolled recursion consults
-    j < k).  ``op_budget`` prices them as in :func:`compute_ledger` at that
-    jmax, with no gap terms.
+    j < k).
     """
     k = _horizon(fm, proc, pat, t)
-    (lhs, rhs) = _delta_terms(fm, window, pat, k, k, None, op_budget)[2]
+    (lhs, rhs) = _delta_terms(fm, window, pat, k, k, None)[2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

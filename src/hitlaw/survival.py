@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_process import BaseProcess, BaseWindow, sample_window
-from .errors import ResourceLimitError
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
@@ -312,23 +311,17 @@ class RescaledCurve:
         return self.values
 
 
-def _rescaled_k(t: np.ndarray, mu_a: float, step_cap: int) -> np.ndarray:
-    """k(t) = floor(t / mu(A)) for each t, refused over the step cap."""
-    ks = np.array([math.floor(ti / mu_a) for ti in t], dtype=np.int64)
-    if ks[-1] > step_cap:
-        offending = float(t[int(np.argmax(ks > step_cap))])
-        raise ResourceLimitError(
-            f"rescaled survival needs k={int(ks.max())} steps at t={offending}, "
-            f"over the step cap {step_cap}")
-    return ks
+def _rescaled_k(t: np.ndarray, mu_a: float) -> np.ndarray:
+    """k(t) = floor(t / mu(A)) for each t."""
+    return np.array([math.floor(ti / mu_a) for ti in t], dtype=np.int64)
 
 
 def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
-                      pat: Pattern, t_grid, step_cap: int = 10**7) -> RescaledCurve:
+                      pat: Pattern, t_grid) -> RescaledCurve:
     """Exact survival at k(t) = floor(t / mu(A)) for each t, where mu(A) is
     the noise-averaged cylinder measure; the value at t = 0 is 1."""
     t = _check_t_grid(t_grid)
-    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat), step_cap)
+    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat))
     values = _windows_survival(fm, [pat], [window], ks)[0]
     return RescaledCurve(t_grid=t, k_values=ks, values=values)
 
@@ -395,8 +388,7 @@ class AnnealedCurve:
 
 
 def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
-                      t_grid, n_windows: int, seed,
-                      step_cap: int = 10**7) -> AnnealedCurve:
+                      t_grid, n_windows: int, seed) -> AnnealedCurve:
     """Average the exact rescaled survival over ``n_windows`` independent
     noise realizations; reports the mean and its standard error per t.
 
@@ -405,7 +397,7 @@ def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
     if n_windows < 1:
         raise ValueError("n_windows must be >= 1")
     t = _check_t_grid(t_grid)
-    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat), step_cap)
+    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat))
     values = _windows_survival(fm, [pat] * n_windows,
                                [sample_window(proc, [seed, i], pat.n)
                                 for i in range(n_windows)], ks)

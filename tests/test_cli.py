@@ -1,8 +1,11 @@
 import copy
+import csv
 import datetime
 import json
 import os
 import re
+import pathlib
+import tempfile
 
 import pytest
 import yaml
@@ -143,20 +146,20 @@ def test_run_byte_identical_across_worker_counts(tmp_path):
 
 def test_run_budget_truncation_exit_code(tmp_path):
     tree = _tiny_tree()
-    tree["operation_budget"] = 4   # step cap floor(4 / (n*b)) = 1
+    tree["operation_budget"] = 4   # under every seed's n (k(t_max) + n - 1)
     cfg = _write(tmp_path, tree)
     out_dir = str(tmp_path / "out")
     code = main(["run", "--config", cfg, "--out", out_dir])
     assert code == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    # one marker per item, worded as the annealed ones: the item, then the
-    # step-cap refusal of survival._rescaled_k
+    # one marker per item, worded as the annealed and ledger ones: the item,
+    # then its price
     assert [m.split(":")[0] for m in manifest["truncated"]] == [
         "quenched n=2 seed=1", "quenched n=2 seed=2",
         "quenched n=3 seed=1", "quenched n=3 seed=2"]
     for marker in manifest["truncated"]:
-        assert re.fullmatch(r"quenched n=\d seed=\d: rescaled survival needs "
-                            r"k=\d+ steps at t=0\.5, over the step cap 1", marker)
+        assert re.fullmatch(r"quenched n=\d seed=\d: needs \d+ column-state "
+                            r"reads, over the budget 4", marker)
 
 
 def test_run_ledger_and_singularity_kinds(tmp_path):
@@ -175,10 +178,13 @@ def test_run_ledger_and_singularity_kinds(tmp_path):
     assert report["sandwich_sweep_ok"] is True
 
     # over-budget ledger items are truncated with the offending n and t named
+    # (a ledger item prices its recursions' column-state reads)
     ledger_tree["operation_budget"] = 10
     manifest = run_experiment(build_config(ledger_tree), str(tmp_path / "led2"))
     assert manifest["truncated"]
-    assert all("n=" in m and "t=" in m for m in manifest["truncated"])
+    for marker in manifest["truncated"]:
+        assert re.fullmatch(r"ledger n=\d t=[\d.]+ seed=\d: needs \d+ "
+                            r"column-state reads, over the budget 10", marker)
 
     sing_tree = {
         "experiment": "singularity",
@@ -253,7 +259,7 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     annealed = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=7,
                           sweep={"n": [4, 8],
                                  "t": {"start": 0.0, "stop": 5.0, "step": 0.5}})
-    # n=12 is over the step cap and n=2 is not, in the same pool
+    # n=12 is over the budget and n=2 is not, in the same pool
     annealed_truncated = _tiny_tree(
         experiment="annealed_shift", seeds=[4], trials=5, operation_budget=10000,
         sweep={"n": [2, 12], "t": [0.0, 2.0, 5.0]})
@@ -263,9 +269,9 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     # a Markov base gives every word its own mu(A), so the columns of one
     # chunk have their own records and pad; at n=10, 16 seeds make two
     # chunks even at one worker, and the budget puts about half of each
-    # chunk's seeds over the step cap
+    # chunk's seeds over it (10 (k(t_max) + 9) > 53,000, 4 of 8 in each)
     quenched_markov = _tiny_tree(
-        seeds=list(range(1, 17)), operation_budget=106_000,
+        seeds=list(range(1, 17)), operation_budget=53_000,
         base={"kind": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
         sweep={"n": [4, 10], "t": [0.0, 1.0, 2.5, 5.0]})
     entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=10,
@@ -336,7 +342,7 @@ def _reject_constant(name):
 
 
 def test_report_of_a_sweep_key_with_no_finished_item_is_strict_json(tmp_path):
-    # at this budget every n=14 item is over the step cap, so n=14 has no median
+    # at this budget every n=14 item is over it, so n=14 has no median
     tree = _tiny_tree(operation_budget=10000,
                       sweep={"n": [2, 3, 14], "t": [0.0, 1.0, 2.0]})
     out = tmp_path / "out"
@@ -470,3 +476,149 @@ def test_validate_is_total_and_agrees_with_build_config(tree):
     else:
         built = True
     assert built == (problems == [])
+
+
+def test_t_grid_range_stops_at_stop():
+    def expanded(start, stop, step):
+        return build_config(_tiny_tree(sweep={"n": [2], "t": {
+            "start": start, "stop": stop, "step": step}})).t_grid
+    assert expanded(0.0, 1.0, 0.6) == (0.0, 0.6)
+    # 0.3 / 0.1 is 2.9999999999999996 in floats, and still gives 4 points
+    assert expanded(0.0, 0.3, 0.1) == (0.0, 0.1, 0.2, 0.30000000000000004)
+    # every shipped range grid keeps the points, hence the config hash, of
+    # start + i * step for i = 0..50
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name in ("quenched_shift.yaml", "annealed_shift.yaml"):
+        with open(os.path.join(here, "configs", name)) as fh:
+            assert build_config(yaml.safe_load(fh)).t_grid == \
+                tuple(0.0 + i * 0.1 for i in range(51)), name
+
+
+def test_over_budget_items_do_no_work(tmp_path, monkeypatch):
+    # an over-budget item draws its word, never its noise window, and calls
+    # no kernel; an n=14 ledger at the default budget (about 4.6e10
+    # column-state reads) is refused before any of its work
+    from hitlaw import experiments
+    noise_keys = []
+    draw = experiments.sample_window
+
+    def recording(proc, seed, length):
+        noise_keys.append(seed)
+        return draw(proc, seed, length)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-budget item reached a kernel")
+    monkeypatch.setattr(experiments, "sample_window", recording)
+    monkeypatch.setattr(experiments, "_windows_survival", refuse)
+    monkeypatch.setattr(experiments, "compute_ledger", refuse)
+    trees = {
+        "quenched": _tiny_tree(operation_budget=4),
+        "annealed": _tiny_tree(experiment="annealed_shift", trials=5,
+                               operation_budget=4),
+        "ledger": _tiny_tree(experiment="ledger", operation_budget=10,
+                             sweep={"n": [2, 3], "t": [1.0, 2.0]}),
+        "ledger_n14": _tiny_tree(experiment="ledger", seeds=[1],
+                                 sweep={"n": [14], "t": [1.0]}),
+    }
+    for name, tree in trees.items():
+        cfg = _write(tmp_path, tree, f"{name}.yaml")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 2, name
+    # word windows are keyed [seed, 1]; noise windows [seed, 0, ...]
+    assert noise_keys and all(key[1] == 1 for key in noise_keys)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _priced_outcomes(tree, out):
+    """(finished, truncated) of a priced run: each finished item's label
+    and price, recomputed from the k, g and n columns of its CSV, and each
+    truncation marker."""
+    kind, n_grid = tree["experiment"], tree["sweep"]["n"]
+    finished = []
+    if kind == "quenched_shift":
+        for n in n_grid:
+            k_max = {}
+            for row in _csv_rows(out / f"survival_n{n}.csv"):
+                k_max[row["seed"]] = max(k_max.get(row["seed"], 0), int(row["k"]))
+            finished += [(f"quenched n={n} seed={seed}", n * (k + n - 1))
+                         for seed, k in k_max.items()]
+    elif kind == "annealed_shift":
+        for n in n_grid:
+            ks = [int(row["k"]) for row in _csv_rows(out / f"annealed_n{n}.csv")]
+            if ks:
+                finished.append((f"annealed n={n}",
+                                 tree["trials"] * n * (max(ks) + n - 1)))
+    else:
+        for row in _csv_rows(out / "ledger.csv"):
+            n, k, g = int(row["n"]), int(row["k"]), int(row["g"])
+            jmax = tree["ledger"]["jmax_factor"] * k
+            finished.append((f"ledger n={n} t={float(row['t'])} seed={row['seed']}",
+                             n * ((k + g + 1) * (n - 1 + jmax) + k * jmax)
+                             + (n + 1) * k * (g + jmax)))
+    truncated = json.loads((out / "manifest.json").read_text())["truncated"]
+    return finished, truncated
+
+
+def _item_labels(tree):
+    """The label of each item a priced run counts once: a quenched seed of a
+    word length, an annealed word length, a ledger (n, t, seed)."""
+    ns, seeds, ts = tree["sweep"]["n"], tree["seeds"], tree["sweep"]["t"]
+    if tree["experiment"] == "quenched_shift":
+        return [f"quenched n={n} seed={s}" for n in ns for s in seeds]
+    if tree["experiment"] == "annealed_shift":
+        return [f"annealed n={n}" for n in ns]
+    return [f"ledger n={n} t={t} seed={s}" for n in ns for t in ts for s in seeds]
+
+
+@st.composite
+def _budgeted_tree(draw):
+    """A small valid tree of any kind, with a random operation budget."""
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    tree = _tiny_tree(
+        experiment=kind, threads=1,
+        seeds=draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)),
+        trials=draw(st.integers(1, 3)),
+        operation_budget=draw(st.integers(1, 2000) | st.integers(1, 2 * 10**6)),
+        ledger={"jmax_factor": draw(st.integers(1, 3))},
+        sweep={"n": sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=2))),
+               "t": draw(st.sampled_from([[0.0, 1.0], [0.0, 0.5, 2.0],
+                                          {"start": 0.0, "stop": 3.0, "step": 0.6}]))})
+    if draw(st.booleans()):
+        tree["base"] = {"kind": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]}
+    if kind == "ledger":
+        tree["sweep"]["t"] = draw(st.sampled_from([[0.5, 1.0], [0.05, 2.0]]))
+    elif kind == "entropy":
+        tree.update(trials=2, sweep={"n": [2, 4]})
+    elif kind == "singularity":
+        tree.update(base={"kind": "bernoulli", "weights": [0.5, 0.5]},
+                    sweep={"n": [10]})
+    elif kind == "circle_law":
+        tree = dict(_CIRCLE, seeds=tree["seeds"][:1],
+                    operation_budget=tree["operation_budget"])
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(_budgeted_tree())
+def test_every_finished_item_is_within_the_budget(tree):
+    budget = tree["operation_budget"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        cfg = _write(pathlib.Path(tmp), tree)
+        assert main(["run", "--config", cfg, "--out", str(out)]) in (0, 2)
+        if tree["experiment"] not in ("quenched_shift", "annealed_shift", "ledger"):
+            return
+        finished, truncated = _priced_outcomes(tree, out)
+    assert all(price <= budget for _, price in finished), finished
+    # every item either finished or was truncated, and not both
+    labels = [label for label, _ in finished] + [m.split(": ")[0] for m in truncated]
+    assert sorted(labels) == sorted(_item_labels(tree))
+    for marker in truncated:
+        if marker.endswith(": k=0, t too small"):
+            continue
+        price = re.fullmatch(r".*: needs (\d+) column-state reads, over the "
+                             rf"budget {budget}", marker)
+        assert price and int(price.group(1)) > budget, marker

@@ -1,8 +1,9 @@
 """Dead-code checks over the package source, by its syntax tree alone.
 
 An import a module never uses, a module-level private name nothing in the
-package reads, or a parameter default that no call overrides is left over
-from a change that removed its last use.
+package reads, a parameter default that no call overrides, or an exception
+class that nothing raises is left over from a change that removed its last
+use.
 """
 
 import ast
@@ -125,4 +126,17 @@ def test_every_parameter_default_is_overridden_by_some_call():
              for where, callee, param, pos in _defaulted_parameters()
              if not ({param, None} & keywords.get(callee, set())
                      or (pos is not None and pos < positions.get(callee, 0)))]
+    assert never == []
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                           else getattr(exc, "id", None))
+    never = [node.name for node in MODULES["errors.py"].body
+             if isinstance(node, ast.ClassDef) and node.name not in raised]
     assert never == []

@@ -6,13 +6,15 @@ import pytest
 import oracle_enum
 from conftest import random_base, random_fiber_measure
 
+from hitlaw import ledger
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
-from hitlaw.errors import ResourceLimitError
+from hitlaw.config import build_config
+from hitlaw.experiments import _over_budget, run_experiment
 from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           marginal_cylinder_measure)
-from hitlaw.ledger import (compute_ledger, entrance_sum, estimate_entropies,
-                           gap_schedule, hits_sum, verify_recursion_bound,
-                           verify_sandwich)
+from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
+                           estimate_entropies, gap_schedule, hits_sum,
+                           verify_recursion_bound, verify_sandwich)
 from hitlaw.survival import conditional_return_survival
 
 
@@ -168,35 +170,54 @@ def test_gap_schedule_values():
     assert all(a <= b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_ledger_budget():
-    proc = BaseProcess.bernoulli([0.5, 0.5])
-    fm = FiberMeasure([[0.3, 0.7], [0.7, 0.3]])
-    pat = Pattern((0,) * 8, 2)
-    window = sample_window(proc, 1, 4000)
-    with pytest.raises(ResourceLimitError):
-        compute_ledger(fm, proc, window, pat, t=1.0, g=2, jmax=300, op_budget=100)
+def test_ledger_budget(tmp_path, monkeypatch):
+    # a run prices a ledger item before it draws the noise window: n=8,
+    # t=2 on the fair coin is k=512, g=2 and jmax=2048, priced 26,301,608
+    # (k*n*b would be 8,192); at that budget the item runs, one below it
+    # is truncated without a call
+    calls = []
+
+    def recording(*args, jmax):
+        calls.append(jmax)
+        return compute_ledger(*args, jmax=jmax)
+    monkeypatch.setattr("hitlaw.experiments.compute_ledger", recording)
+    tree = {"experiment": "ledger", "seeds": [5], "threads": 1,
+            "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
+            "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
+            "sweep": {"n": [8], "t": [2.0]}}
+    at = run_experiment(build_config(dict(tree, operation_budget=26301608)),
+                        str(tmp_path / "at"))
+    assert at["truncated"] == [] and calls == [2048]
+    over = run_experiment(build_config(dict(tree, operation_budget=26301607)),
+                          str(tmp_path / "over"))
+    assert over["truncated"] == ["ledger n=8 t=2.0 seed=5: needs 26301608 "
+                                 "column-state reads, over the budget 26301607"]
+    assert calls == [2048]
 
 
-def test_ledger_price_counts_every_recursion(coin_pair):
+def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     # the price is column-reads times states of the survival, conditional
     # and delayed-mask recursions,
-    # n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax); the marginal of the
-    # symmetric family is the fair coin, so k = floor(t 2**n)
+    # n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax), which is what the
+    # kernel reads; the marginal of the symmetric family is the fair coin,
+    # so k = floor(t 2**n)
     proc, fm = coin_pair
     window = sample_window(proc, 5, 1)
-    # n=8, t=2: k=512 and jmax=2048, priced 26,301,608 (k*n*b would be 8,192)
-    with pytest.raises(ResourceLimitError, match="need 26301608 "):
-        compute_ledger(fm, proc, window, Pattern((0, 1) * 4, 2), t=2.0, g=2,
-                       op_budget=10**6)
-    # n=3, t=1: k=8, jmax=32 prices at 2,978; the bound alone (jmax=k, no
-    # gap terms) at 462
-    pat = Pattern((0, 1, 1), 2)
-    compute_ledger(fm, proc, window, pat, t=1.0, g=2, op_budget=2978)
-    with pytest.raises(ResourceLimitError):
-        compute_ledger(fm, proc, window, pat, t=1.0, g=2, op_budget=2977)
-    verify_recursion_bound(fm, proc, window, pat, t=1.0, op_budget=462)
-    with pytest.raises(ResourceLimitError):
-        verify_recursion_bound(fm, proc, window, pat, t=1.0, op_budget=461)
+    reads = []
+    kernel = ledger._lockstep
+
+    def counting(mats, sym, V, record=None):
+        reads.append(len(sym) * (sym.shape[1] if record is None else record[-1])
+                     * V.shape[1])
+        return kernel(mats, sym, V, record)
+    monkeypatch.setattr(ledger, "_lockstep", counting)
+    # n=3, t=1: k=8, jmax=32 prices at 2,978
+    compute_ledger(fm, proc, window, Pattern((0, 1, 1), 2), t=1.0, g=2)
+    assert sum(reads) == _ledger_price(3, 8, 2, 32) == 2978
+    assert _over_budget("item", 2978, 2978) is None
+    assert _over_budget("item", 2978, 2977) == \
+        "item: needs 2978 column-state reads, over the budget 2977"
+    assert _ledger_price(8, 512, 2, 2048) == 26301608
 
 
 def test_hits_sum_and_entrance_sum_match_public_ops(coin_pair):

@@ -7,8 +7,10 @@ import pytest
 import oracle_enum
 from conftest import random_base, random_fiber_measure
 
+from hitlaw import survival
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
-from hitlaw.errors import ResourceLimitError
+from hitlaw.config import build_config
+from hitlaw.experiments import run_experiment
 from hitlaw.fiber import FiberMeasure, Pattern, fiber_cylinder_measure
 from hitlaw.survival import (SurvivalCurve, annealed_survival,
                              build_automaton, conditional_return_survival,
@@ -196,26 +198,61 @@ def test_rescaled_single_symbol_closed_form():
         assert v == pytest.approx((1 - 0.3) ** math.floor(t / p_marg), rel=1e-12)
 
 
-def test_rescaled_step_cap(coin_pair):
+def _fair_run(tmp_path, monkeypatch, name, **overrides):
+    """Manifest and column-state reads of a run on the fair-coin base with
+    the p = 0.3 symmetric fiber, whose marginal gives mu(A) = 2**-n."""
+    reads = []
+    kernel = survival._lockstep
+
+    def counting(mats, sym, V, record, **kw):
+        reads.append(int(np.broadcast_to(record, (len(sym), np.shape(record)[-1]))
+                         [:, -1].sum()) * V.shape[1])
+        return kernel(mats, sym, V, record, **kw)
+    monkeypatch.setattr(survival, "_lockstep", counting)
+    tree = {"experiment": "quenched_shift", "seeds": [1], "threads": 1,
+            "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
+            "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
+            "sweep": {"n": [10], "t": [0.0, 4.0]}}
+    manifest = run_experiment(build_config(dict(tree, **overrides)),
+                              str(tmp_path / name))
+    return manifest, sum(reads)
+
+
+def test_rescaled_step_cap(coin_pair, tmp_path, monkeypatch):
+    # the library has no cap: it computes the k(t) it is asked for
     proc, fm = coin_pair
     pat = Pattern((0,) * 10, 2)
     win = sample_window(proc, seed=1, length=50)
-    with pytest.raises(ResourceLimitError) as exc:
-        rescaled_survival(fm, proc, win, pat, [0.0, 4.0], step_cap=100)
-    assert "4.0" in str(exc.value)
+    curve = rescaled_survival(fm, proc, win, pat, [0.0, 4.0])
+    assert curve.k_values.tolist() == [0, 4096]
+    # a run prices a quenched seed at what its kernel column reads, n states
+    # over k(t_max) + n - 1 reads, 10 x 4,105, and truncates it over budget
+    # before drawing its window
+    manifest, reads = _fair_run(tmp_path, monkeypatch, "at", operation_budget=41050)
+    assert manifest["truncated"] == [] and reads == 41050
+    manifest, reads = _fair_run(tmp_path, monkeypatch, "over", operation_budget=41049)
+    assert manifest["truncated"] == ["quenched n=10 seed=1: needs 41050 "
+                                     "column-state reads, over the budget 41049"]
+    assert reads == 0
 
 
-def test_annealed_step_cap(coin_pair):
-    # the cap refuses the whole grid at the first t whose k(t) exceeds it
+def test_annealed_step_cap(coin_pair, tmp_path, monkeypatch):
     proc, fm = coin_pair
     pat = Pattern((0,) * 10, 2)
-    with pytest.raises(ResourceLimitError) as exc:
-        annealed_survival(fm, proc, pat, [0.0, 0.05, 4.0], n_windows=3, seed=1,
-                          step_cap=100)
-    assert "4.0" in str(exc.value)
-    out = annealed_survival(fm, proc, pat, [0.0, 0.05], n_windows=3, seed=1,
-                            step_cap=100)
-    assert 0 < out.k_values[-1] <= 100
+    out = annealed_survival(fm, proc, pat, [0.0, 0.05, 4.0], n_windows=3, seed=1)
+    assert out.k_values.tolist() == [0, 51, 4096]
+    # an annealed word is priced at all its windows, 3 x 41,050, in every
+    # chunk: three chunks of one window each truncate it alike, once
+    annealed = dict(experiment="annealed_shift", trials=3, threads=3)
+    manifest, _ = _fair_run(tmp_path, monkeypatch, "at", operation_budget=123150,
+                            **annealed)
+    assert manifest["truncated"] == []
+    manifest, _ = _fair_run(tmp_path, monkeypatch, "over", operation_budget=123149,
+                            **annealed)
+    assert manifest["truncated"] == ["annealed n=10: needs 123150 column-state "
+                                     "reads, over the budget 123149"]
+    assert (tmp_path / "over" / "annealed_n10.csv").read_text() == \
+        "t,k,mean_survival,stderr,exp_minus_t,abs_err\n"
 
 
 def test_sample_hitting_geometric_case():
