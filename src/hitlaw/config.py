@@ -155,8 +155,10 @@ def _parse(tree: dict) -> tuple:
     elif kind == "circle_law" and trials < MIN_LAW_TRIALS:
         v.append(f"trials: circle_law needs at least {MIN_LAW_TRIALS}")
     budget = tree.get("operation_budget", 10**8)
-    if not _is_int(budget) or budget <= 0:
-        v.append("operation_budget: must be a positive integer")
+    # every price is at least its k, so a budget below 2**63 keeps every
+    # admitted k inside the kernels' int64
+    if not _is_int(budget) or not 0 < budget < 2**63:
+        v.append("operation_budget: must be an integer in [1, 2**63 - 1]")
     threads = tree.get("threads", 0)
     if not _is_int(threads) or threads < 0:
         v.append("threads: must be an integer >= 0 (0 = all cores)")

@@ -159,10 +159,11 @@ def _shift_chunk(args):
     """Exact rescaled survival of a chunk of one word length in one kernel
     call: per key ``("ok", (n, key), (ks, values))``, or a truncation marker
     when its word is priced over the budget, n states times k(t_max) + n - 1
-    reads per column, before its window is drawn.  A quenched key is a seed
-    with its own word and window; an annealed key is a window of the run's
-    one word, which every chunk draws and prices at all ``cfg.trials``
-    windows, so that the parent never samples and every chunk prices it alike."""
+    reads per column (none at k(t_max) = 0), before its window is drawn.  A
+    quenched key is a seed with its own word and window; an annealed key is
+    a window of the run's one word, which every chunk draws and prices at all
+    ``cfg.trials`` windows, so that the parent never samples and every chunk
+    prices it alike."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
         columns = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n),
@@ -176,7 +177,8 @@ def _shift_chunk(args):
     for key, (label, pat, noise) in zip(keys, columns):
         if pat not in mus:
             mus[pat] = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-        price = copies * n * (math.floor(cfg.t_grid[-1] / mus[pat]) + n - 1)
+        k = math.floor(cfg.t_grid[-1] / mus[pat])
+        price = copies * n * (k + n - 1) if k else 0
         marker = _over_budget(label, price, cfg.operation_budget)
         if marker:
             outcomes.append(("truncated", marker))

@@ -6,7 +6,9 @@ sum of per-offset discrepancies delta_i; each delta_i splits into a short
 ENTRANCE mass (G), a MIXING discrepancy across the gap (H) and a short
 RETURN mass (K).  Everything here is computed exactly from the automaton
 recursion of :mod:`hitlaw.survival`, batched across the k offsets, with
-compensated summation for the long accumulations.
+compensated summation for the long accumulations.  The recursions of all
+offsets advance in one sweep over absolute noise coordinate (``_sweep``),
+where every live recursion shares each coordinate's matrix.
 
 The suprema defining delta and H run over all j >= 1 in principle; they are
 evaluated over j <= jmax and therefore reported as certified lower bounds
@@ -30,8 +32,8 @@ from .survival import (_lockstep, _scan_hitting, build_automaton,
                        masked_step_matrices)
 
 _TOL = 1e-12
-# Reads per per-read kernel call: bounds the (reads, columns) mass slabs.
-_SLAB = 64
+# Coordinates per block of the ledger sweep: 32 ran faster than 8 or 16.
+_SWEEP_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,103 @@ def _column_symbols(symbols: np.ndarray, first: int, columns: int,
         symbols[first:first + columns + reads - 1], reads)
 
 
+def _sweep(mats: np.ndarray, symbols: np.ndarray, first: int, entry: np.ndarray,
+           jmax: int):
+    """Column p of each family (``entry`` is (columns, families, states))
+    enters with its ``entry`` row before coordinate ``first + p`` and reads
+    ``jmax`` coordinates, x applying ``mats[symbols[x]]`` to every live
+    column.  Per block of coordinates a .. a+L-1, yields (a, lo, masses):
+    ``masses[f, l, p - lo]`` is column (p, f)'s mass after coordinate a + l,
+    0 outside its reads.  A block is one backward chain of L small products
+    (step e: the rows 1^T T_l ... T_e, zero for l < e, over the suffix
+    T_{L-1} ... T_e, T_l the matrix of a + l), one (L, states) @ (states,
+    columns) product for the columns live at a, and one batched product
+    for those entering later."""
+    columns, families, states = entry.shape
+    V = np.zeros_like(entry)
+    ones_T = mats.sum(axis=1)   # 1^T T per matrix
+    stop = first + columns - 1 + jmax   # one past the last coordinate read
+    for a in range(first, stop, _SWEEP_BLOCK):
+        L = min(_SWEEP_BLOCK, stop - a)
+        T, ones = list(mats[symbols[a:a + L]]), list(ones_T[symbols[a:a + L]])
+        chain = np.zeros((L + 1, L + states, states))
+        chain[L, L:] = np.eye(states)
+        steps = list(chain)   # views, to skip indexing in the loop
+        for e in range(L - 1, -1, -1):
+            np.dot(steps[e + 1], T[e], out=steps[e])
+            steps[e][e] = ones[e]
+        # live at a: lo .. mid-1; entering at coordinate first + p: mid .. hi-1
+        lo = min(max(a - first - jmax + 1, 0), columns)
+        mid, hi = min(a - first, columns), min(a + L - first, columns)
+        live = V[lo:mid].reshape(-1, states)
+        entering = (chain[first - a + np.arange(mid, hi)]
+                    @ entry[mid:hi].transpose(0, 2, 1))
+        masses = np.empty((families, L, hi - lo))
+        masses[:, :, :mid - lo] = (chain[0, :L] @ live.T).reshape(
+            L, mid - lo, families).transpose(2, 0, 1)
+        masses[:, :, mid - lo:] = entering[:, :L].transpose(2, 1, 0)
+        # zero past each column's last read; only the first L columns have any
+        past = np.arange(L)[:, np.newaxis] + a - first - np.arange(lo, hi)[:L] >= jmax
+        masses[:, :, :L][:, past] = 0.0
+        V[lo:mid] = (live @ chain[0, L:].T).reshape(mid - lo, families, states)
+        V[mid:hi] = entering[:, L:].transpose(0, 2, 1)
+        yield a, lo, masses
+
+
 def _ledger_price(n: int, k: int, g: int, jmax: int) -> int:
     """Column-reads times states of :func:`compute_ledger`'s survival,
     conditional and delayed-mask recursions,
     n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax)."""
     return n * ((k + g + 1) * (n - 1 + jmax) + k * jmax) + (n + 1) * k * (g + jmax)
+
+
+def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
+                 jmax: int, g: int | None):
+    """(d, s0_at_k, c_at_g, s_at_g, h) from one sweep: per offset i = 1..k,
+    d_i = sup_{j <= jmax} |survival from i - return recursion of i|; survival
+    from 0 at j = k; with a gap g (else None), return recursion and survival
+    of i at j = g, and h_i = sup_j |delayed-mask of i - survival from i+g|."""
+    n = pat.n
+    gap = g or 0
+    symbols = window.prefix(k + gap + jmax + n)
+    aut = build_automaton(pat)
+    # column p of each family reads its j = 1..jmax from coordinate n + p,
+    # so compared values meet in one column: survival from offset p (n-1
+    # reads from p+1 to its entry), the return recursion of offset p (from
+    # the border state), the delayed-mask one of offset p-g (g full reads
+    # from the accepting state); the first two leave state n empty
+    families = 2 if g is None else 3
+    entry = np.zeros((k + gap + 1, families, n + 1))
+    s_V = np.tile(np.eye(n)[0], (k + gap + 1, 1))
+    _lockstep(masked_step_matrices(fm, aut),
+              _column_symbols(symbols, 1, k + gap + 1, n - 1), s_V, [n - 1])
+    entry[:, 0, :n] = s_V
+    entry[1:k + 1, 1, aut.border] = 1.0
+    if g is not None:
+        h_V = np.tile(np.eye(n + 1)[n], (k, 1))
+        _lockstep(full_step_matrices(fm, aut), _column_symbols(symbols, n + 1, k, g),
+                  h_V, [g])
+        entry[g + 1:, 2] = h_V
+
+    # per column, the sup over j of |family - survival|, and every family's
+    # mass at j = g and j = k
+    sup = np.zeros((families - 1, k + gap + 1))
+    at = {j: np.zeros((families, k + gap + 1)) for j in (gap, k) if j}
+    for a, lo, masses in _sweep(masked_arrival_matrices(fm, aut), symbols, n,
+                                entry, jmax):
+        L, width = masses.shape[1:]
+        col = np.arange(lo, lo + width)
+        span = sup[:, lo:lo + width]
+        np.maximum(span, np.abs(masses[1:] - masses[0]).max(axis=1), out=span)
+        for j, values in at.items():
+            row = col + n + j - 1 - a   # column p's mass at j, when in this block
+            hit = (0 <= row) & (row < L)
+            values[:, col[hit]] = masses[:, row[hit], hit]
+    s0_at_k = float(at[k][0, 0])
+    if g is None:
+        return sup[0, 1:], s0_at_k, None, None, None
+    return (sup[0, 1:k + 1], s0_at_k, at[g][1, 1:k + 1], at[g][0, 1:k + 1],
+            sup[1, g + 1:])
 
 
 def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
@@ -95,63 +189,16 @@ def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     product) and, when a gap g is given, also (conditional mass at g,
     survival at g, mixing sup) per offset.
     """
-    n = pat.n
-    gap = g or 0
-    symbols = window.prefix(k + gap + jmax + n)
-    aut = build_automaton(pat)
-    masked = masked_step_matrices(fm, aut)
-
+    d_sup, s0_at_k, *gap_terms = _sweep_terms(fm, window, pat, k, jmax, g)
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    mu = _cylinder_measures(fm, symbols, pat, offsets)
-
-    # survival recursions for offsets 0..k+gap; offset i's first read is
-    # coordinate i+1, and its j-th survival value lands after j+n-1 reads
-    s_sym = _column_symbols(symbols, 1, k + gap + 1, n - 1 + jmax)
-    s_V = np.tile(np.eye(n)[0], (k + gap + 1, 1))
-    _lockstep(masked, s_sym, s_V, [n - 1])
-
-    # conditional (return) recursions for offsets 1..k, starting from the
-    # word's border state, first read at coordinate i+n
-    c_sym = _column_symbols(symbols, n + 1, k, jmax)
-    c_V = np.tile(np.eye(n)[aut.border], (k, 1))
-
-    if g is not None:
-        # delayed-mask recursions: all n+1 states, unmasked over the gap,
-        # then arrivals into the accepting state die
-        arr_masked = masked_arrival_matrices(fm, aut)
-        h_sym = _column_symbols(symbols, n + 1, k, g + jmax)
-        h_V = np.tile(np.eye(n + 1)[n], (k, 1))
-        _lockstep(full_step_matrices(fm, aut), h_sym, h_V, [g])
-
-    d_sup = np.zeros(k)
-    h_sup = np.zeros(k) if g is not None else None
-    c_at_g = s_at_g = None
-    s0_at_k = None
-    # masses at every j, a slab of _SLAB reads at a time
-    for j0 in range(0, jmax, _SLAB):
-        j1 = min(j0 + _SLAB, jmax)
-        s_mass = _lockstep(masked, s_sym[:, n - 1 + j0:n - 1 + j1], s_V)
-        c_mass = _lockstep(masked, c_sym[:, j0:j1], c_V)
-        np.maximum(d_sup, np.abs(s_mass[:, 1:k + 1] - c_mass).max(axis=0),
-                   out=d_sup)
-        if g is not None:
-            h_mass = _lockstep(arr_masked, h_sym[:, g + j0:g + j1], h_V)
-            np.maximum(h_sup,
-                       np.abs(h_mass - s_mass[:, 1 + g:k + g + 1]).max(axis=0),
-                       out=h_sup)
-            if j0 < g <= j1:
-                c_at_g = c_mass[g - j0 - 1]
-                s_at_g = s_mass[g - j0 - 1, 1:k + 1]
-        if j0 < k <= j1:
-            s0_at_k = float(s_mass[k - j0 - 1, 0])
-    assert s0_at_k is not None   # callers validate jmax >= k >= 1
+    mu = _cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets)
     # both sides of the recursion bound, against the one-miss product
     delta = d_sup * mu
     one_minus = 1.0 - mu
     prod_term = float(np.prod(one_minus))
     prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
     lemma = (abs(s0_at_k - prod_term), math.fsum(delta * prefix))
-    return mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup
+    return mu, delta, lemma, prod_term, *gap_terms
 
 
 def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float) -> int:

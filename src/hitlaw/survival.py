@@ -107,17 +107,15 @@ def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     return np.where(reads >= 4 * s ** length, length, 1)
 
 
-def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
+def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
               block: int | None = None, words=0) -> np.ndarray:
     """Advance a (columns, states) block ``V`` of automaton distributions in
     place, in lockstep over the reads of the (columns, reads) ``sym``: read
     r of column c applies ``mats[sym[c, r-1]]``.  Returns column masses,
     one row per record.
 
-    Per-read mode (``record=None``) records after every read; each read is
-    one stacked (s*states, states) product and a per-column select.  Block
-    mode records at the nondecreasing read counts of ``record``, one list
-    for all columns or one row per column, and each column stops at its
+    Masses are recorded at the nondecreasing read counts of ``record``, one
+    list for all columns or one row per column, and each column stops at its
     last record, so rows of ``sym`` may be padded.  ``mats`` stacks one
     word's (s, states, states) matrices per word, column c on word
     ``words[c]``.  Each column runs the schedule of its one-column call: L
@@ -126,24 +124,9 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record=None,
     single reads.  Identity steps pad each stretch to the longest column's,
     so one step is one gather from the tables and one batched product.  An
     identity step is exact and each column gets its own product, so a
-    column's values are bit-identical to its one-column call; per-read mode
-    makes no such promise.
+    column's values are bit-identical to its one-column call.  Masses after
+    every read, as the ledger's suprema need, come from ``ledger._sweep``.
     """
-    if record is None:
-        columns, reads = sym.shape
-        s, states = mats.shape[0], mats.shape[1]
-        sym = sym.astype(np.intp)   # so the per-read index sum needs no cast
-        stacked = mats.reshape(s * states, states).T
-        first_row = np.arange(columns) * s   # row of column c's symbol 0
-        ones = np.ones(states)
-        out = np.empty((reads, columns))
-        v = V
-        for r in range(reads):
-            v = (v @ stacked).reshape(columns * s, states).take(
-                first_row + sym[:, r], axis=0)
-            out[r] = v @ ones
-        V[...] = v
-        return out
     mats = mats[np.newaxis] if mats.ndim == 3 else mats
     s, states = mats.shape[1:3]
     record = np.broadcast_to(np.asarray(record, dtype=np.int64),

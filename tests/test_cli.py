@@ -162,6 +162,31 @@ def test_run_budget_truncation_exit_code(tmp_path):
                             r"reads, over the budget 4", marker)
 
 
+def test_budget_stays_inside_int64(tmp_path):
+    # every price is at least its k, so a budget below 2**63 admits only k
+    # inside int64; the fair-coin marginal gives an n=64 word k = 2**64 at
+    # t = 1, which the largest budget cuts and a larger one may not reach
+    tree = _tiny_tree(seeds=[1], sweep={"n": [64], "t": [0.0, 1.0]})
+    huge = _write(tmp_path, dict(tree, operation_budget=10**30), "huge.yaml")
+    assert main(["run", "--config", huge, "--out", str(tmp_path / "huge")]) == 1
+    top = _write(tmp_path, dict(tree, operation_budget=2**63 - 1), "top.yaml")
+    assert main(["run", "--config", top, "--out", str(tmp_path / "top")]) == 2
+    manifest = json.loads((tmp_path / "top" / "manifest.json").read_text())
+    assert manifest["truncated"] == [
+        f"quenched n=64 seed=1: needs {64 * (2**64 + 63)} column-state reads, "
+        f"over the budget {2**63 - 1}"]
+
+
+def test_seeds_that_read_nothing_cost_nothing(tmp_path):
+    # at t = 0 every k(t) is 0 and the kernel reads no symbol, so a budget
+    # under n (n - 1) still finishes every seed and word
+    for kind in ("quenched_shift", "annealed_shift"):
+        tree = _tiny_tree(experiment=kind, trials=2, operation_budget=5,
+                          sweep={"n": [3], "t": [0.0]})
+        cfg = _write(tmp_path, tree, f"{kind}.yaml")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+
+
 def test_run_ledger_and_singularity_kinds(tmp_path):
     ledger_tree = {
         "experiment": "ledger",
@@ -543,14 +568,14 @@ def _priced_outcomes(tree, out):
             k_max = {}
             for row in _csv_rows(out / f"survival_n{n}.csv"):
                 k_max[row["seed"]] = max(k_max.get(row["seed"], 0), int(row["k"]))
-            finished += [(f"quenched n={n} seed={seed}", n * (k + n - 1))
+            finished += [(f"quenched n={n} seed={seed}", n * (k + n - 1) if k else 0)
                          for seed, k in k_max.items()]
     elif kind == "annealed_shift":
         for n in n_grid:
             ks = [int(row["k"]) for row in _csv_rows(out / f"annealed_n{n}.csv")]
             if ks:
-                finished.append((f"annealed n={n}",
-                                 tree["trials"] * n * (max(ks) + n - 1)))
+                finished.append((f"annealed n={n}", tree["trials"] * n
+                                 * (max(ks) + n - 1) if max(ks) else 0))
     else:
         for row in _csv_rows(out / "ledger.csv"):
             n, k, g = int(row["n"]), int(row["k"]), int(row["g"])

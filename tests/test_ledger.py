@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_enum
 from conftest import random_base, random_fiber_measure
@@ -15,7 +17,9 @@ from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
 from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
                            estimate_entropies, gap_schedule, hits_sum,
                            verify_recursion_bound, verify_sandwich)
-from hitlaw.survival import conditional_return_survival
+from hitlaw.survival import (_lockstep, build_automaton,
+                             conditional_return_survival, full_step_matrices,
+                             masked_arrival_matrices, quenched_survival)
 
 
 def _slow_ledger(fm, proc, window, pat, t, g, jmax):
@@ -198,19 +202,25 @@ def test_ledger_budget(tmp_path, monkeypatch):
 def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     # the price is column-reads times states of the survival, conditional
     # and delayed-mask recursions,
-    # n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax), which is what the
-    # kernel reads; the marginal of the symmetric family is the fair coin,
-    # so k = floor(t 2**n)
+    # n [(k+g+1)(n-1+jmax) + k jmax] + (n+1) k (g+jmax): the block-mode reads
+    # to each column's entry, then jmax sweep reads a column, n states for
+    # a survival or conditional column and n+1 for a delayed-mask one; the
+    # marginal of the symmetric family is the fair coin, so k = floor(t 2**n)
     proc, fm = coin_pair
     window = sample_window(proc, 5, 1)
     reads = []
-    kernel = ledger._lockstep
+    kernel, sweep = ledger._lockstep, ledger._sweep
 
-    def counting(mats, sym, V, record=None):
-        reads.append(len(sym) * (sym.shape[1] if record is None else record[-1])
-                     * V.shape[1])
+    def counting(mats, sym, V, record):
+        reads.append(len(sym) * record[-1] * V.shape[1])
         return kernel(mats, sym, V, record)
+
+    def counting_sweep(mats, symbols, first, entry, jmax):
+        columns = entry.any(axis=2).sum(axis=0)   # per family
+        reads.append(jmax * int(columns @ [3, 3, 4]))
+        return sweep(mats, symbols, first, entry, jmax)
     monkeypatch.setattr(ledger, "_lockstep", counting)
+    monkeypatch.setattr(ledger, "_sweep", counting_sweep)
     # n=3, t=1: k=8, jmax=32 prices at 2,978
     compute_ledger(fm, proc, window, Pattern((0, 1, 1), 2), t=1.0, g=2)
     assert sum(reads) == _ledger_price(3, 8, 2, 32) == 2978
@@ -218,6 +228,86 @@ def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     assert _over_budget("item", 2978, 2977) == \
         "item: needs 2978 column-state reads, over the budget 2977"
     assert _ledger_price(8, 512, 2, 2048) == 26301608
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 40),
+       st.integers(1, 100), st.integers(0, 2**32 - 1))
+def test_sweep_masses_match_a_read_by_read_loop(families, states, columns, jmax,
+                                                seed):
+    # every column's mass after each of its jmax reads appears once, and
+    # 0 before its entry and after its last read
+    rng = make_rng(seed)
+    mats = rng.random((3, states, states))
+    mats /= mats.sum(axis=1, keepdims=True) * rng.uniform(1.0, 1.2, (3, 1, states))
+    first = 2
+    symbols = rng.integers(0, 3, size=first + columns + jmax)
+    entry = rng.random((columns, families, states))
+    got = np.full((columns, families, jmax + 1), np.nan)
+    for a, lo, masses in ledger._sweep(mats, symbols, first, entry, jmax):
+        for c in range(masses.shape[2]):
+            j = a - first - (lo + c) + 1 + np.arange(masses.shape[1])   # reads
+            inside = (1 <= j) & (j <= jmax)
+            assert np.all(masses[:, ~inside, c] == 0.0)
+            assert np.isnan(got[lo + c][:, j[inside]]).all()
+            got[lo + c][:, j[inside]] = masses[:, inside, c]
+    for p in range(columns):
+        v = entry[p].T
+        for j in range(1, jmax + 1):
+            v = mats[symbols[first + p + j - 1]] @ v
+            assert np.max(np.abs(got[p, :, j] - v.sum(axis=0))) < 1e-12
+
+
+@st.composite
+def _sweep_case(draw):
+    """A random model on 2 or 3 noise symbols, a word of length 1-4, k
+    offsets, a gap or none (the recursion-bound path), and a jmax over
+    which each column spans at least three sweep blocks, out of the
+    enumeration oracle's reach."""
+    s = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    fm = random_fiber_measure(rng, s, 2)
+    window = sample_window(random_base(rng, s), draw(st.integers(0, 2**32 - 1)), 1)
+    pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
+    k = draw(st.integers(1, 12))
+    g = draw(st.none() | st.integers(1, k))
+    jmax = draw(st.integers(2 * ledger._SWEEP_BLOCK + 1, 3 * ledger._SWEEP_BLOCK))
+    return fm, window, pat, k, g, jmax
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sweep_case())
+def test_sweep_matches_per_offset_curves(case):
+    fm, window, pat, k, g, jmax = case
+    n = pat.n
+    d, s0_at_k, c_at_g, s_at_g, h = ledger._sweep_terms(fm, window, pat, k, jmax, g)
+    S = [quenched_survival(fm, window, pat, p, jmax).values
+         for p in range(k + (g or 0) + 1)]
+    C = [None] + [c.values / c.values[0] for c in
+                  (conditional_return_survival(fm, window, pat, i, jmax)
+                   for i in range(1, k + 1))]
+    offsets = range(1, k + 1)
+    assert abs(s0_at_k - S[0][k]) < 1e-12
+    assert np.max(np.abs(d - [np.abs(S[i][1:] - C[i][1:]).max()
+                              for i in offsets])) < 1e-12
+    if g is None:
+        assert c_at_g is None and s_at_g is None and h is None
+        return
+    assert np.max(np.abs(c_at_g - [C[i][g] for i in offsets])) < 1e-12
+    assert np.max(np.abs(s_at_g - [S[i][g] for i in offsets])) < 1e-12
+    # the delayed-mask recursion of offset i, one column: g unmasked reads
+    # from the accepting state, then arrivals into it die
+    aut = build_automaton(pat)
+    syms = window.prefix(k + g + jmax + n)
+    for i in offsets:
+        V = np.eye(n + 1)[[n]]
+        _lockstep(full_step_matrices(fm, aut), syms[np.newaxis, i + n:i + n + g],
+                  V, [g])
+        masses = _lockstep(masked_arrival_matrices(fm, aut),
+                           syms[np.newaxis, i + n + g:i + n + g + jmax], V,
+                           np.arange(1, jmax + 1))[:, 0]
+        assert abs(h[i - 1] - np.abs(masses - S[i + g][1:]).max()) < 1e-12
 
 
 def test_hits_sum_and_entrance_sum_match_public_ops(coin_pair):
