@@ -25,12 +25,13 @@ lies in [A u, A u + P (u - 1)] (mod 2**B), u = 2**(B - W).  A trial whose
 interval lies inside the ball is a hit, one whose interval meets no point
 of the ball is a miss, and one whose interval straddles an edge of the
 ball is decided exactly as (P N) mod 2**B from its block-start numerator
-N.  A block ends before P passes ``_BLOCK_PRODUCT`` (20 steps for
-multipliers (2, 3)); then each survivor's numerator advances once by P
-and its window is read afresh.  When B <= W the window is the whole
-numerator and no step falls back.  A single point, whatever its
-denominator, is scanned one exact step at a time, which is faster for one
-point.
+N.  A block ends before P passes ``_BLOCK_PRODUCT`` = 2**(W - 12), so
+that at most about 2**-11 of live trial-steps straddle.  A hit marks its
+trial dead, and dead trials leave the window when their block ends; then
+each survivor's numerator advances once by P and its window is read
+afresh.  When B <= W the window is the whole numerator and no step falls
+back.  A single point, whatever its denominator, is scanned one exact
+step at a time, which is faster for one point.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -50,8 +52,9 @@ _GUARD_BITS = 64
 
 # Top numerator bits the block scan keeps per trial in one uint64 word.
 _WINDOW_BITS = 62
-# A block ends before its multiplier product passes this.
-_BLOCK_PRODUCT = 1 << 32
+# A block ends before its multiplier product passes this, so that at most
+# about 2**-11 of live trial-steps straddle a ball's edge.
+_BLOCK_PRODUCT = 1 << (_WINDOW_BITS - 12)
 
 # Fewest start points quenched_law_statistic accepts for one survival curve.
 MIN_LAW_TRIALS = 100
@@ -267,51 +270,51 @@ def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
     shift = max(width - _WINDOW_BITS, 0)
     top = (1 << (width - shift)) - 1       # largest window value A
     pad = 64 - (width - shift)             # A sits in the high bits of a word
+    # numerator in [A u, A u + d], u = 2**shift: it may meet the arc for
+    # A in [ceil((lo - d) / u), far] and surely lies inside it for
+    # A in [sure, floor((lo + span - d) / u)]
+    far, sure = (lo + span) >> shift, -((-lo) >> shift)
+    sure_at = (sure & top) << pad
     factors = [np.uint64(m % 2**64) for m in muls]
     taus = [None] * len(nums)
-    exact = list(nums)                     # block-start numerators, by trial
-    ids = np.arange(len(nums))             # live trials, aligned with window
+    # aligned with window: block-start numerators, trial ids, and not yet hit
+    exact, ids, alive = nums, np.arange(len(nums)), np.ones(len(nums), dtype=bool)
+    left = len(nums)
     window = np.array([(n >> shift) << pad for n in exact], dtype=np.uint64)
     prod = 1
     for k in range(1, cap + 1):
         m = muls[bits[k - 1]]
         if prod > 1 and prod * m > _BLOCK_PRODUCT:
-            live = ids.tolist()
-            for i in live:
-                exact[i] = (exact[i] * prod) & mask
-            window = np.array([(exact[i] >> shift) << pad for i in live],
-                              dtype=np.uint64)
+            exact = [(n * prod) & mask for n in compress(exact, alive.tolist())]
+            window = np.array([(n >> shift) << pad for n in exact], dtype=np.uint64)
+            ids, alive = ids[alive], np.ones(len(exact), dtype=bool)
             prod = 1
         prod *= m
         window *= factors[bits[k - 1]]
-        # numerator in [A u, A u + d], u = 2**shift: it may meet the arc for
-        # A in [ceil((lo - d) / u), floor((lo + span) / u)] and surely lies
-        # inside it for A in [ceil(lo / u), floor((lo + span - d) / u)]
         d = prod * ((1 << shift) - 1)
         meet = -((d - lo) >> shift)
-        flag = ((window - ((meet & top) << pad))
-                <= (min(((lo + span) >> shift) - meet, top) << pad))
-        if not flag.any():
+        at = ((window - ((meet & top) << pad))
+              <= (min(far - meet, top) << pad)).nonzero()[0]
+        if at.size:
+            at = at[alive[at]]             # dead trials stay until block end
+        if not at.size:
             continue
-        at = np.flatnonzero(flag)
-        sure = -((-lo) >> shift)
         sure_len = ((lo + span - d) >> shift) - sure
         if sure_len >= 0:
-            inside = (window[at] - ((sure & top) << pad)) <= (sure_len << pad)
+            inside = (window[at] - sure_at) <= (sure_len << pad)
             hits, straddles = at[inside].tolist(), at[~inside].tolist()
         else:
             hits, straddles = [], at.tolist()
         for j in straddles:
-            n = (exact[int(ids[j])] * prod) & mask
+            n = (exact[j] * prod) & mask
             if (n - lo) & mask <= span:
                 hits.append(j)
         if hits:
+            alive[hits] = False
             for i in ids[hits].tolist():
                 taus[i] = k
-            keep = np.ones(ids.size, dtype=bool)
-            keep[hits] = False
-            window, ids = window[keep], ids[keep]
-            if not ids.size:
+            left -= len(hits)
+            if not left:
                 break
     return taus
 

@@ -243,10 +243,10 @@ def _in_ball(den, center, radius):
     return lambda num: circle_distance(CirclePoint(num, den), center) < radius
 
 
-# a 36-bit window: with block products up to 2**32 straddles are frequent,
+# a 36-bit window with block products up to 2**32: straddles are frequent,
 # so the exact fallback runs often, and widths of 1 to 100 bits fall on
 # both sides of the window and past the 64-bit guard floor
-_SMALL_WINDOW = 36
+_SMALL_WINDOW, _SMALL_BLOCK = 36, 1 << 32
 
 
 @settings(max_examples=400, deadline=None)
@@ -259,6 +259,19 @@ _SMALL_WINDOW = 36
 # an orbit whose window interval straddles the ball's edge from outside
 @example(muls=(3, 4), width=51, seed=273, center=0.015625, radius=0.015625,
          one_point=False, count=1, cap=33)
+# in the 62-bit window, a ball 2**13 units wide, narrower than the window
+# interval by step 12, so no hit is sure there: the hit at step 12 is
+# decided exactly
+@example(muls=(2, 3), width=100, seed=0, center=0.2610373738314807,
+         radius=1e-15, one_point=False, count=1, cap=40)
+# in the 62-bit window, a ball 2**46.4 units wide: the hit at step 29,
+# inside the first block, straddles the ball's edge
+@example(muls=(2, 3), width=100, seed=0, center=0.21038600974451893,
+         radius=1e-5, one_point=False, count=1, cap=50)
+# trial 1 hits at step 2, and its window re-enters the ball later in the
+# same block while trial 0 is live until step 29
+@example(muls=(2, 3), width=100, seed=0, center=0.5, radius=0.05,
+         one_point=False, count=3, cap=40)
 def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
                                           one_point, count, cap):
     rng = make_rng(seed)
@@ -273,6 +286,7 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
     want = _one_step_hits(nums, den, bits, muls, inside, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(circle, "_WINDOW_BITS", _SMALL_WINDOW)
+        mp.setattr(circle, "_BLOCK_PRODUCT", _SMALL_BLOCK)
         assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
     assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
 
