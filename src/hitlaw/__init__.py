@@ -10,11 +10,9 @@ random compositions of expanding maps.
 
 __version__ = "0.1.0"
 
-from .base_process import (BaseProcess, BaseWindow, base_cylinder_prob,
-                           make_rng, psi_mixing_coefficient, sample_window)
-from .circle import (BallTarget, CirclePoint, CircleRDS, aperiodicity_probe,
-                     circle_distance, hitting_time_ball, quenched_law_statistic,
-                     random_orbit, required_bits)
+from .base_process import BaseProcess, BaseWindow, make_rng, sample_window
+from .circle import (BallTarget, CirclePoint, CircleRDS, circle_distance,
+                     quenched_law_statistic, random_orbit, required_bits)
 from .errors import PrecisionBudgetError, UnsupportedConfigError
 from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
                     density_ratio, fiber_cylinder_measure,
@@ -22,8 +20,7 @@ from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
 from .ledger import (EntropyEstimates, ErrorLedger, compute_ledger,
                      entrance_sum, estimate_entropies, gap_schedule, hits_sum,
                      verify_recursion_bound, verify_sandwich)
-from .stats import CurveReport, TrendReport, dkw_band, ks_to_exponential, trend_report
-from .survival import (AnnealedCurve, PatternAutomaton, RescaledCurve,
-                       SurvivalCurve, annealed_survival, build_automaton,
-                       conditional_return_survival, quenched_survival,
-                       rescaled_survival, sample_hitting_time)
+from .stats import TrendReport, dkw_band, ks_to_exponential, trend_report
+from .survival import (PatternAutomaton, RescaledCurve, SurvivalCurve,
+                       build_automaton, conditional_return_survival,
+                       quenched_survival, rescaled_survival)

@@ -1,10 +1,10 @@
 """Driving noise process: an invertible ergodic symbol stream.
 
 The driving system is realized as a stationary Bernoulli or finite-state
-Markov stream with exact cylinder probabilities.  Both are exponentially
-psi-mixing, and for both the mixing coefficients are computable in closed
-form from transfer-matrix powers, so every downstream quantity that needs
-the base law gets it exactly rather than by estimation.
+Markov stream.  Both are exponentially psi-mixing, and their laws are
+given exactly (weights, or a transition matrix and its stationary vector),
+so every downstream quantity that needs the base law gets it exactly
+rather than by estimation.
 
 Windows are finite realizations of the (two-sided) noise: they extend to
 the right on demand, deterministically for a given seed, and shifted views
@@ -206,40 +206,3 @@ def sample_window(proc: BaseProcess, seed, length: int) -> BaseWindow:
         raise ValueError("window length must be >= 1")
     buf = _WindowBuffer(proc, make_rng(seed), length)
     return BaseWindow(buf)
-
-
-def base_cylinder_prob(proc: BaseProcess, word) -> float:
-    """Exact probability of observing ``word`` at consecutive positions."""
-    w = np.asarray(word, dtype=np.int64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("word must be a non-empty symbol sequence")
-    if np.any(w < 0) or np.any(w >= proc.alphabet_size):
-        raise ValueError("word contains out-of-range symbols")
-    if proc.kind == "bernoulli":
-        return float(np.prod(proc.weights[w]))
-    p = float(proc.stationary[w[0]])
-    for a, b in zip(w[:-1], w[1:]):
-        p *= float(proc.transition[a, b])
-    return p
-
-
-def psi_mixing_coefficient(proc: BaseProcess, gap: int, n: int, m: int) -> float:
-    """Exact ratio-mixing coefficient between rank-n and rank-m cylinders.
-
-    Maximizes |P(U and V after a gap) / (P(U) P(V)) - 1| over all rank-n
-    cylinders U and rank-m cylinders V separated by ``gap`` extra steps.
-    For a product measure this is exactly 0.  For a Markov stream the ratio
-    depends only on the last symbol of U and the first of V, so the
-    maximum over all cylinder pairs reduces to a maximum over symbol pairs
-    of the (gap+1)-step transfer power against the stationary law; since
-    every cylinder has positive mass, the reduction is exact.
-    """
-    if gap < 0:
-        raise ValueError("gap must be >= 0")
-    if n < 1 or m < 1:
-        raise ValueError("cylinder ranks must be >= 1")
-    if proc.kind == "bernoulli":
-        return 0.0
-    power = np.linalg.matrix_power(proc.transition, gap + 1)
-    ratio = power / proc.stationary[np.newaxis, :]
-    return float(np.max(np.abs(ratio - 1.0)))

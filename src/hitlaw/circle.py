@@ -10,9 +10,9 @@ simulation of the map).
 Sampled points carry a precision budget: a B-bit uniform point stays a
 faithful stand-in for a Lebesgue-random point only while the orbit length
 times log2(multiplier) stays well below B.  Asking an orbit to outrun the
-budget raises; it never silently degrades.  Exact rational seeds (period
-probes, oracle configurations) carry no budget since their arithmetic
-never loses information.
+budget raises; it never silently degrades.  Exact rational seeds (oracle
+configurations) carry no budget since their arithmetic never loses
+information.
 
 The start points of a hitting law share one denominator 2**B and are
 scanned together as a filtered exact predicate: a cheap window test
@@ -30,8 +30,7 @@ that at most about 2**-11 of live trial-steps straddle.  A hit marks its
 trial dead, and dead trials leave the window when their block ends; then
 each survivor's numerator advances once by P and its window is read
 afresh.  When B <= W the window is the whole numerator and no step falls
-back.  A single point, whatever its denominator, is scanned one exact
-step at a time, which is faster for one point.
+back.
 """
 
 from __future__ import annotations
@@ -191,41 +190,21 @@ def _bits_sequence(bits, steps: int) -> list:
     return arr.tolist()
 
 
-def _check_budget(x0: CirclePoint, steps: int, max_m: int) -> None:
-    if x0.budget_bits is None:
-        return
-    need = required_bits(steps, max_m)
-    if x0.budget_bits < need:
+def random_orbit(rds: CircleRDS, bits, x0: CirclePoint, steps: int) -> list:
+    """Exact orbit f^1(x0), f^2(x0), ..., f^steps(x0) under the maps
+    selected by ``bits``; raises at the call when a sampled point's budget
+    is too small for ``steps``."""
+    need = required_bits(steps, rds.max_multiplier)
+    if x0.budget_bits is not None and x0.budget_bits < need:
         raise PrecisionBudgetError(
             f"orbit of {steps} steps needs {need} bits, point carries "
             f"{x0.budget_bits}")
-
-
-class RandomOrbit:
-    """Lazy exact orbit f^1(x0), f^2(x0), ..., f^steps(x0)."""
-
-    def __init__(self, rds: CircleRDS, bits, x0: CirclePoint, steps: int):
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        _check_budget(x0, steps, rds.max_multiplier)
-        self._bits = _bits_sequence(bits, steps)
-        self._x0 = x0
-        self._muls = rds.multipliers
-
-    def __iter__(self):
-        num, den = self._x0.numerator, self._x0.denominator
-        budget = self._x0.budget_bits
-        for b in self._bits:
-            num = num * self._muls[b] % den
-            yield CirclePoint(num, den, budget)
-
-    def points(self) -> list:
-        return list(self)
-
-
-def random_orbit(rds: CircleRDS, bits, x0: CirclePoint, steps: int) -> RandomOrbit:
-    """Exact orbit accessor under the maps selected by ``bits``."""
-    return RandomOrbit(rds, bits, x0, steps)
+    num, den, muls = x0.numerator, x0.denominator, rds.multipliers
+    points = []
+    for b in _bits_sequence(bits, steps):
+        num = num * muls[b] % den
+        points.append(CirclePoint(num, den, x0.budget_bits))
+    return points
 
 
 def _ball_arc(target: BallTarget, denominator: int):
@@ -242,26 +221,11 @@ def _ball_arc(target: BallTarget, denominator: int):
     return lo % denominator, hi - lo
 
 
-def _step_scan(num: int, den: int, bits: list, muls: tuple, arc,
-               cap: int) -> int | None:
-    """First k in [1, cap] at which the orbit of num/den lies on ``arc``,
-    or None: one exact step at a time, for any denominator."""
-    if arc is None:
-        return None
-    lo, span = arc
-    hi = lo + span
-    wrap = hi - den                        # last numerator past 0, if >= 0
-    for k in range(1, cap + 1):
-        num = (num * muls[bits[k - 1]]) % den
-        if lo <= num <= hi or num <= wrap:
-            return k
-    return None
-
-
 def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
                   cap: int) -> list:
-    """_step_scan for each of many numerators over one ``den`` = 2**B, all
-    at once (the filtered exact scan of the module docstring)."""
+    """For each of many numerators over one ``den`` = 2**B, the first k in
+    [1, cap] at which its orbit lies on ``arc``, or None, all at once (the
+    filtered exact scan of the module docstring)."""
     if arc is None:
         return [None] * len(nums)
     lo, span = arc
@@ -319,21 +283,6 @@ def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
     return taus
 
 
-def hitting_time_ball(rds: CircleRDS, bits, x0: CirclePoint, target: BallTarget,
-                      cap: int) -> int | None:
-    """First k in [1, cap] with f^k(x0) inside the ball, None if censored.
-
-    A start inside the ball does not count: the first visit at k >= 1 is a
-    return in that case.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    _check_budget(x0, cap, rds.max_multiplier)
-    bit_list = _bits_sequence(bits, cap)
-    return _step_scan(x0.numerator, x0.denominator, bit_list, rds.multipliers,
-                      _ball_arc(target, x0.denominator), cap)
-
-
 @dataclass(frozen=True)
 class CircleLawResult:
     """Empirical rescaled hitting-time survival against exp(-t)."""
@@ -346,10 +295,6 @@ class CircleLawResult:
     trials: int
     censored_count: int
     widened_uncertainty: bool
-
-    @property
-    def observed(self) -> np.ndarray:
-        return self.survival
 
 
 def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
@@ -379,38 +324,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     taus = np.array([scan_cap + 1 if hit is None else hit for hit in hits],
                     dtype=np.int64)
     survival = np.array([(taus > min(k, scan_cap)).mean() for k in ks])
-    delta_r = ks_to_exponential(survival, t).sup_abs_err
+    delta_r = ks_to_exponential(survival, t)
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
                            delta_r=delta_r, trials=trials, censored_count=censored,
                            widened_uncertainty=widened)
-
-
-def aperiodicity_probe(rds: CircleRDS, bits, trials: int, horizon: int, seed,
-                       points=None) -> float:
-    """Fraction of start points whose orbit returns exactly to the start
-    within ``horizon`` steps (exact integer equality).
-
-    Uniform sampled points give fraction 0 in practice (the periodic set is
-    Lebesgue-null, and exact equality on a 2**B grid is astronomically
-    rare); explicit rational ``points`` can be supplied to exhibit the
-    periodic exceptions.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    bit_list = _bits_sequence(bits, horizon)
-    rng = make_rng(seed)
-    if points is None:
-        precision = required_bits(horizon, rds.max_multiplier)
-        points = [CirclePoint(num, 1 << precision, precision)
-                  for num in _uniform_numerators(rng, precision, trials)]
-    else:
-        points = list(points)
-    if not points:
-        raise ValueError("need at least one start point")
-    periodic = 0
-    for x0 in points:
-        _check_budget(x0, horizon, rds.max_multiplier)
-        num0 = x0.numerator
-        periodic += _step_scan(num0, x0.denominator, bit_list, rds.multipliers,
-                               (num0, 0), horizon) is not None
-    return periodic / len(points)

@@ -38,8 +38,7 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (_ledger_price, compute_ledger, estimate_entropies,
                      gap_schedule, verify_sandwich)
 from .stats import ks_to_exponential, trend_report
-from .survival import (_BLOCK_CODES, _annealed_curve, _rescaled_k,
-                       _windows_survival)
+from .survival import _BLOCK_CODES, _rescaled_k, _windows_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -199,7 +198,7 @@ def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
     for (n, seed), (ks, values) in done:
         rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
                 for t, k, v in zip(cfg.t_grid, ks, values)]
-        sup = ks_to_exponential(values, t_grid=cfg.t_grid).sup_abs_err
+        sup = ks_to_exponential(values, cfg.t_grid)
         curves.append(((n, seed), (rows, sup)))
     rows, report = _sweep_report(curves, cfg.n_grid, cfg.n_grid, "per_n", str,
                                  "sup_abs_err")
@@ -218,13 +217,15 @@ def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
         if finished:
             # one word, so one k; windows on the fast axis as the kernel lays
             # them out, since the mean's last digits follow the memory layout
-            curve = _annealed_curve(np.asarray(cfg.t_grid), finished[0][0],
-                                    np.stack([v for _, v in finished], axis=1).T)
+            values = np.stack([v for _, v in finished], axis=1).T
+            mean = values.mean(axis=0)
+            windows = len(finished)
+            stderr = (values.std(axis=0, ddof=1) / math.sqrt(windows) if windows > 1
+                      else np.zeros(len(cfg.t_grid)))
             rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
-                    for t, k, m, se in zip(cfg.t_grid, curve.k_values,
-                                           curve.mean, curve.stderr)]
-            per_n[str(n)] = {"sup_abs_err": ks_to_exponential(curve).sup_abs_err,
-                             "windows": curve.n_windows}
+                    for t, k, m, se in zip(cfg.t_grid, finished[0][0], mean, stderr)]
+            per_n[str(n)] = {"sup_abs_err": ks_to_exponential(mean, cfg.t_grid),
+                             "windows": windows}
         artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, rows)
     artifacts["report.json"] = ("json", {"per_n": per_n})
     return artifacts

@@ -23,41 +23,16 @@ def _check_t_grid(t_grid) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    """One observed curve against exp(-t), with its sup distance."""
-
-    t_grid: np.ndarray
-    observed: np.ndarray
-    sup_abs_err: float
-    stderr: np.ndarray | None = None
-
-
-def ks_to_exponential(curve, t_grid=None) -> CurveReport:
-    """Sup distance between an observed survival curve and exp(-t).
-
-    ``curve`` is either an object exposing ``t_grid`` and ``observed``
-    (rescaled, annealed and circle-law results all do) or a plain value
-    array, in which case ``t_grid`` must be given.
-    """
-    if hasattr(curve, "observed") and hasattr(curve, "t_grid"):
-        observed = np.asarray(curve.observed, dtype=float)
-        t = np.asarray(curve.t_grid, dtype=float)
-        stderr = getattr(curve, "stderr", None)
-        if stderr is not None:
-            stderr = np.asarray(stderr, dtype=float)
-    else:
-        if t_grid is None:
-            raise ValueError("raw value arrays need an explicit t grid")
-        observed = np.asarray(curve, dtype=float)
-        t = np.asarray(t_grid, dtype=float)
-        stderr = None
+def ks_to_exponential(observed, t_grid) -> float:
+    """Sup distance between an observed survival curve and exp(-t) on its
+    t grid."""
+    observed = np.asarray(observed, dtype=float)
+    t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise ValueError("t grid must be non-empty")
     if observed.shape != t.shape:
         raise ValueError("curve and grid lengths differ")
-    sup = float(np.max(np.abs(observed - np.exp(-t))))
-    return CurveReport(t_grid=t, observed=observed, sup_abs_err=sup, stderr=stderr)
+    return float(np.max(np.abs(observed - np.exp(-t))))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ k.  Because fiber coordinates are independent given the noise, the
 probability of surviving (no occurrence yet) evolves by a linear recursion
 over the states of the word's border automaton, with one stochastic step
 matrix per base symbol.  That recursion is the estimator of record here;
-Monte Carlo sampling of hitting times is provided as a cross-check only.
+Monte Carlo hitting times (``_scan_hitting``) serve only the return-time
+entropy estimates.
 
 Occurrences starting at coordinate 0 do not count as hits (hitting times
 start at k = 1); they do define the conditioning block for return times.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_process import BaseProcess, BaseWindow, sample_window
+from .base_process import BaseProcess, BaseWindow
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
@@ -231,12 +232,6 @@ class SurvivalCurve:
         object.__setattr__(self, "k_grid", k)
         object.__setattr__(self, "values", v)
 
-    def value_at(self, k: int) -> float:
-        idx = np.searchsorted(self.k_grid, k)
-        if idx >= self.k_grid.size or self.k_grid[idx] != k:
-            raise ValueError(f"k={k} is not on this curve's grid")
-        return float(self.values[idx])
-
 
 def _curve_grid(fm: FiberMeasure, pat: Pattern, offset: int,
                 k_max: int) -> np.ndarray:
@@ -289,10 +284,6 @@ class RescaledCurve:
     k_values: np.ndarray
     values: np.ndarray
 
-    @property
-    def observed(self) -> np.ndarray:
-        return self.values
-
 
 def _rescaled_k(t: np.ndarray, mu_a: float) -> np.ndarray:
     """k(t) = floor(t / mu(A)) for each t."""
@@ -336,61 +327,3 @@ def _scan_hitting(fm: FiberMeasure, window: BaseWindow, aut: PatternAutomaton,
                 return coord + i - n + 1
         coord = end
     return None
-
-
-def sample_hitting_time(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                        rng: np.random.Generator, cap: int) -> int | None:
-    """Monte Carlo hitting time: first k in [1, cap] with an occurrence
-    starting at coordinate k in a freshly drawn fiber point, or None
-    (censored) if no hit happens by ``cap``.
-
-    The window extends itself as the scan proceeds, so any cap within the
-    noise realization's reach is valid; censoring is an answer, not an
-    error.
-    """
-    _check_compatible(fm, pat)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    aut = build_automaton(pat)
-    return _scan_hitting(fm, window, aut, rng, cap, start_state=0, first_coord=1)
-
-
-@dataclass(frozen=True)
-class AnnealedCurve:
-    """Monte Carlo average of rescaled survival over independent noise windows."""
-
-    t_grid: np.ndarray
-    k_values: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-    n_windows: int
-
-    @property
-    def observed(self) -> np.ndarray:
-        return self.mean
-
-
-def annealed_survival(fm: FiberMeasure, proc: BaseProcess, pat: Pattern,
-                      t_grid, n_windows: int, seed) -> AnnealedCurve:
-    """Average the exact rescaled survival over ``n_windows`` independent
-    noise realizations; reports the mean and its standard error per t.
-
-    Window i uses the stream keyed by (seed, i).
-    """
-    if n_windows < 1:
-        raise ValueError("n_windows must be >= 1")
-    t = _check_t_grid(t_grid)
-    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat))
-    values = _windows_survival(fm, [pat] * n_windows,
-                               [sample_window(proc, [seed, i], pat.n)
-                                for i in range(n_windows)], ks)
-    return _annealed_curve(t, ks, values)
-
-
-def _annealed_curve(t: np.ndarray, ks: np.ndarray, values: np.ndarray) -> AnnealedCurve:
-    """Mean and standard error over the windows, one row of ``values`` each."""
-    n_windows = values.shape[0]
-    stderr = (values.std(axis=0, ddof=1) / math.sqrt(n_windows) if n_windows > 1
-              else np.zeros(t.size))
-    return AnnealedCurve(t_grid=t, k_values=ks, mean=values.mean(axis=0),
-                         stderr=stderr, n_windows=n_windows)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitlaw.base_process import (_DRAW_BLOCK, BaseProcess, _WindowBuffer,
-                                 base_cylinder_prob, make_rng,
-                                 psi_mixing_coefficient, sample_window)
+                                 make_rng, sample_window)
 
 
 def test_bernoulli_window_shape_and_range():
@@ -155,80 +153,8 @@ def test_markov_empirical_frequency_near_stationary():
     n = 10**5
     win = sample_window(proc, seed=7, length=n)
     freq0 = float(np.mean(win.prefix(n) == 0))
+    assert proc.stationary == pytest.approx([2 / 3, 1 / 3])   # by hand
     pi0 = proc.stationary[0]
     lam = 0.7   # second eigenvalue of the chain
     sigma = math.sqrt(pi0 * (1 - pi0) * (1 + lam) / (1 - lam) / n)
     assert abs(freq0 - pi0) < 3 * sigma
-
-
-def test_base_cylinder_prob_bernoulli():
-    assert base_cylinder_prob(BaseProcess.bernoulli([0.5, 0.5]), [0, 1]) == pytest.approx(0.25)
-    assert base_cylinder_prob(BaseProcess.bernoulli([0.3, 0.7]), [1]) == pytest.approx(0.7)
-
-
-def test_base_cylinder_prob_markov_hand_value():
-    proc = BaseProcess.markov([[0.9, 0.1], [0.2, 0.8]])
-    assert proc.stationary == pytest.approx([2 / 3, 1 / 3])
-    assert base_cylinder_prob(proc, [0, 1]) == pytest.approx((2 / 3) * 0.1)
-
-
-def test_base_cylinder_prob_validation():
-    proc = BaseProcess.bernoulli([0.5, 0.5])
-    with pytest.raises(ValueError):
-        base_cylinder_prob(proc, [])
-    with pytest.raises(ValueError):
-        base_cylinder_prob(proc, [0, 2])
-
-
-@pytest.mark.parametrize("s", [2, 3])
-def test_cylinder_probs_sum_to_one(s):
-    rng = make_rng(11)
-    w = rng.uniform(0.1, 1.0, size=s)
-    proc_b = BaseProcess.bernoulli(w / w.sum())
-    q = rng.uniform(0.1, 1.0, size=(s, s))
-    proc_m = BaseProcess.markov(q / q.sum(axis=1, keepdims=True))
-    for proc in (proc_b, proc_m):
-        for n in range(1, 7):
-            total = math.fsum(base_cylinder_prob(proc, word)
-                              for word in itertools.product(range(s), repeat=n))
-            assert abs(total - 1.0) < 1e-10
-
-
-def test_psi_mixing_bernoulli_exactly_zero():
-    proc = BaseProcess.bernoulli([0.3, 0.7])
-    for gap in (0, 3, 10):
-        assert psi_mixing_coefficient(proc, gap, 2, 2) == 0.0
-
-
-def _enumerated_psi(proc, gap, n, m):
-    """Direct enumeration over all cylinder pairs; the independent oracle."""
-    s = proc.alphabet_size
-    worst = 0.0
-    power = np.linalg.matrix_power(proc.transition, gap + 1)
-    for u in itertools.product(range(s), repeat=n):
-        pu = base_cylinder_prob(proc, u)
-        for v in itertools.product(range(s), repeat=m):
-            pv = base_cylinder_prob(proc, v)
-            joint = pu * power[u[-1], v[0]] * pv / proc.stationary[v[0]]
-            worst = max(worst, abs(joint / (pu * pv) - 1.0))
-    return worst
-
-
-def test_psi_mixing_markov_closed_form_and_oracle(markov_proc):
-    got = psi_mixing_coefficient(markov_proc, 0, 1, 1)
-    q = markov_proc.transition
-    pi = markov_proc.stationary
-    expected = max(abs(q[i, j] / pi[j] - 1.0) for i in range(2) for j in range(2))
-    assert got == pytest.approx(expected, rel=1e-12)
-    for gap, n, m in [(0, 1, 1), (0, 2, 2), (3, 2, 1), (5, 1, 2)]:
-        assert psi_mixing_coefficient(markov_proc, gap, n, m) == pytest.approx(
-            _enumerated_psi(markov_proc, gap, n, m), rel=1e-10)
-
-
-def test_psi_mixing_second_eigenvalue_decay(markov_proc):
-    lam = 0.7
-    psi0 = psi_mixing_coefficient(markov_proc, 0, 1, 1)
-    psi20 = psi_mixing_coefficient(markov_proc, 20, 1, 1)
-    assert psi20 <= psi0 * lam**20 * (1 + 1e-9)
-    values = [psi_mixing_coefficient(markov_proc, g, 1, 1) for g in range(31)]
-    assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from hitlaw import circle
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
-from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS,
-                           aperiodicity_probe, circle_distance,
-                           hitting_time_ball, quenched_law_statistic,
-                           random_orbit, required_bits)
+from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS, circle_distance,
+                           quenched_law_statistic, random_orbit, required_bits)
 from hitlaw.errors import PrecisionBudgetError
 
 
@@ -40,14 +38,14 @@ def test_rds_validation():
 
 def test_orbit_third_under_doubling_is_period_two(rds):
     x0 = CirclePoint.from_fraction(1, 3)
-    pts = random_orbit(rds, [0] * 6, x0, 6).points()
+    pts = random_orbit(rds, [0] * 6, x0, 6)
     vals = [p.as_fraction() for p in pts]
     assert vals == [Fraction(2, 3), Fraction(1, 3)] * 3
 
 
 def test_orbit_zero_fixed_point(rds):
     x0 = CirclePoint.from_fraction(0, 1)
-    pts = random_orbit(rds, [0, 1, 1, 0], x0, 4).points()
+    pts = random_orbit(rds, [0, 1, 1, 0], x0, 4)
     assert all(p.numerator == 0 for p in pts)
 
 
@@ -76,8 +74,8 @@ def test_noise_bits_must_be_binary(rds):
     with pytest.raises(ValueError, match="0 or 1"):
         random_orbit(rds, [0, 1, 2], x0, 3)
     fair = sample_window(BaseProcess.bernoulli([0.5, 0.5]), 3, 1)
-    want = random_orbit(rds, fair.prefix(40).tolist(), x0, 40).points()
-    assert random_orbit(rds, fair, x0, 40).points() == want
+    want = random_orbit(rds, fair.prefix(40).tolist(), x0, 40)
+    assert random_orbit(rds, fair, x0, 40) == want
 
 
 def test_orbit_budget_enforced(rds):
@@ -124,31 +122,29 @@ def test_uniform_pushforward_stays_uniform(rds):
 def test_hitting_counts_from_one(rds):
     # start inside the ball: the first visit at k >= 1 is what counts
     target = BallTarget(center=0.0, radius=0.05)
-    x0 = CirclePoint.from_fraction(0, 1)
-    assert hitting_time_ball(rds, [0] * 10, x0, target, 10) == 1   # stays at 0
-    x1 = CirclePoint.from_fraction(1, 3)
-    assert hitting_time_ball(rds, [0] * 50, x1, target, 50) is None
+
+    def scan(num, den, bits):
+        return circle._scan_to_ball([num], den, bits, rds.multipliers,
+                                    circle._ball_arc(target, den), len(bits))
+    assert scan(0, 2**8, [0] * 10) == [1]    # 0 stays at 0 under doubling
+    # 3/8 -> 1/8 -> 3/8 under x3, never within 0.05 of 0
+    assert scan(3, 8, [1] * 50) == [None]
 
 
 def test_hitting_mean_near_kac_value(rds):
     # heuristic diagnostic: mean hitting time ~ 1/(ball measure); the exact
     # escape rate depends on the hole placement, so keep a generous band
     r = 0.01
-    target = BallTarget(center=0.61803, radius=r)
     trials = 10**4
     cap = 2000
-    rng = make_rng(21)
-    bits = [0] * cap   # doubling map
     precision = required_bits(cap, rds.max_multiplier)
-    total = 0
-    hits = 0
-    for _ in range(trials):
-        x0 = CirclePoint.uniform(rng, precision)
-        k = hitting_time_ball(rds, bits, x0, target, cap)
-        if k is not None:
-            total += k
-            hits += 1
-    mean = total / hits
+    den = 1 << precision
+    nums = circle._uniform_numerators(make_rng(21), precision, trials)
+    arc = circle._ball_arc(BallTarget(center=0.61803, radius=r), den)
+    hits = [k for k in circle._scan_to_ball(nums, den, [0] * cap,   # doubling map
+                                            rds.multipliers, arc, cap)
+            if k is not None]
+    mean = sum(hits) / len(hits)
     assert abs(mean - 1 / (2 * r)) / (1 / (2 * r)) < 0.1
 
 
@@ -169,45 +165,6 @@ def test_quenched_law_widened_when_capped(rds):
     out = quenched_law_statistic(rds, bits, y=0.3, r=0.05, t_grid=[0.0, 1.0],
                                  trials=100, seed=6, cap=3)
     assert out.widened_uncertainty
-
-
-def test_aperiodicity_probe_uniform_is_zero(rds):
-    bits = sample_window(rds.base, 41, 50)
-    frac = aperiodicity_probe(rds, bits, trials=1000, horizon=50, seed=8)
-    assert frac == 0.0
-
-
-def test_aperiodicity_probe_forced_points(rds):
-    assert aperiodicity_probe(rds, [0] * 50, 1, 50, 0,
-                              points=[CirclePoint.from_fraction(0, 1)]) == 1.0
-    assert aperiodicity_probe(rds, [0] * 50, 1, 50, 0,
-                              points=[CirclePoint.from_fraction(1, 3)]) == 1.0
-
-
-def test_aperiodicity_probe_needs_a_start_point(rds):
-    with pytest.raises(ValueError, match="start point"):
-        aperiodicity_probe(rds, [0] * 5, trials=0, horizon=5, seed=0)
-    with pytest.raises(ValueError, match="start point"):
-        aperiodicity_probe(rds, [0] * 5, trials=3, horizon=5, seed=0, points=[])
-
-
-_DENOMINATORS = st.integers(1, 60) | st.sampled_from([2 ** j for j in range(1, 12)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10**6), _DENOMINATORS), min_size=1,
-                max_size=4),
-       st.lists(st.integers(0, 1), min_size=1, max_size=40),
-       st.sampled_from([(2, 3), (2, 5), (3, 4), (6, 7)]))
-def test_aperiodicity_probe_matches_orbit_returns(fractions, bits, multipliers):
-    rds = CircleRDS(multipliers=multipliers)
-    points = [CirclePoint.from_fraction(p, q) for p, q in fractions]
-    returns = sum(any(y.numerator == x0.numerator
-                      for y in random_orbit(rds, bits, x0, len(bits)))
-                  for x0 in points)
-    probe = aperiodicity_probe(rds, bits, trials=0, horizon=len(bits), seed=0,
-                               points=points)
-    assert probe == returns / len(points)
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,27 +246,3 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
         mp.setattr(circle, "_BLOCK_PRODUCT", _SMALL_BLOCK)
         assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
     assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
-
-
-@settings(max_examples=300, deadline=None)
-@given(den=st.integers(3, 2**40) | st.integers(1, 40).map(lambda w: 1 << w),
-       num=st.integers(0, 2**40), bits=st.lists(st.integers(0, 1), min_size=1,
-                                                 max_size=60),
-       muls=st.sampled_from([(2, 3), (2, 5), (3, 4), (6, 7)]),
-       center=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 0.01, 0.99]),
-       radius=st.floats(1e-6, 0.49))
-# 1/7 -> 2/7 -> 4/7 -> 1/7 lands on the part of the ball past 0
-@example(den=7, num=1, bits=[0, 0, 0], muls=(2, 3), center=0.95, radius=0.2)
-# the ball starts below 0: 2/5 -> 4/5 lies at distance 1/4 < 0.3 from 0.05
-@example(den=5, num=2, bits=[0], muls=(2, 3), center=0.05, radius=0.3)
-# a dyadic denominator: 3/8 -> 9/8 wraps to 1/8, inside the ball about 0.2
-@example(den=8, num=3, bits=[1], muls=(2, 3), center=0.2, radius=0.1)
-def test_hitting_time_ball_matches_exact_distance_scan(den, num, bits, muls,
-                                                       center, radius):
-    # the one-step scan serves dyadic and non-dyadic denominators alike
-    rds = CircleRDS(multipliers=muls)
-    x0 = CirclePoint.from_fraction(num, den)
-    (want,) = _one_step_hits([x0.numerator], den, bits, muls,
-                             _in_ball(den, center, radius), len(bits))
-    assert hitting_time_ball(rds, bits, x0, BallTarget(center, radius),
-                             len(bits)) == want

@@ -12,9 +12,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitlaw.base_process import sample_window
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
-from hitlaw.experiments import KINDS, run_experiment
+from hitlaw.experiments import KINDS, _draw_pattern, run_experiment
+from hitlaw.survival import rescaled_survival
 
 
 def _tiny_tree(**overrides):
@@ -267,6 +269,20 @@ def test_runs_of_one_draw_write_null_spreads_without_warning(tmp_path):
     report = json.loads((tmp_path / "s" / "singularity.json").read_text())
     assert report["draws"] == 1
     assert report["std_log_ratio"] is None
+
+    # one window: its stderr is 0 and its mean is that window's curve
+    annealed = build_config(_tiny_tree(experiment="annealed_shift", seeds=[4],
+                                       trials=1, sweep={"n": [2, 3],
+                                                        "t": [0.0, 0.5, 1.0]}))
+    run_experiment(annealed, str(tmp_path / "a"))
+    for n in (2, 3):
+        with open(tmp_path / "a" / f"annealed_n{n}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["stderr"] for row in rows] == ["0"] * 3
+        single = rescaled_survival(annealed.fiber, annealed.base,
+                                   sample_window(annealed.base, [4, 0, 0], n),
+                                   _draw_pattern(annealed, 4, n), annealed.t_grid)
+        assert [float(row["mean_survival"]) for row in rows] == single.values.tolist()
 
 
 def test_shipped_configs_validate():

@@ -8,27 +8,24 @@ from hitlaw.circle import CircleRDS, quenched_law_statistic
 from hitlaw.config import validate
 from hitlaw.fiber import Pattern, binary_symmetric_model
 from hitlaw.stats import _check_t_grid, dkw_band, ks_to_exponential, trend_report
-from hitlaw.survival import annealed_survival, rescaled_survival
+from hitlaw.survival import rescaled_survival
 
 
 def test_ks_exact_match_is_zero():
     t = np.arange(0.0, 5.01, 0.1)
-    rep = ks_to_exponential(np.exp(-t), t_grid=t)
-    assert rep.sup_abs_err == 0.0
+    assert ks_to_exponential(np.exp(-t), t) == 0.0
 
 
 def test_ks_constant_one_curve():
     t = np.arange(0.0, 5.01, 0.1)
-    rep = ks_to_exponential(np.ones_like(t), t_grid=t)
-    assert rep.sup_abs_err == pytest.approx(1.0 - math.exp(-5.0))
+    assert ks_to_exponential(np.ones_like(t), t) == pytest.approx(1.0 - math.exp(-5.0))
 
 
 def test_ks_matches_recomputation():
     rng = np.random.default_rng(3)
     t = np.sort(rng.uniform(0, 5, size=40))
     obs = np.clip(np.exp(-t) + rng.normal(0, 0.02, size=40), 0, 1)
-    rep = ks_to_exponential(obs, t_grid=t)
-    assert rep.sup_abs_err == pytest.approx(
+    assert ks_to_exponential(obs, t) == pytest.approx(
         max(abs(o - math.exp(-ti)) for o, ti in zip(obs, t)), abs=1e-15)
 
 
@@ -37,26 +34,14 @@ def test_ks_grid_refinement_only_grows():
     fine = np.arange(0.0, 5.01, 0.1)
     obs_c = 1.0 / (1.0 + t)
     obs_f = 1.0 / (1.0 + fine)
-    assert (ks_to_exponential(obs_f, t_grid=fine).sup_abs_err
-            >= ks_to_exponential(obs_c, t_grid=t).sup_abs_err)
-
-
-def test_ks_accepts_curve_objects():
-    class Dummy:
-        t_grid = np.array([0.0, 1.0])
-        observed = np.array([1.0, 0.3])
-        stderr = np.array([0.0, 0.01])
-
-    rep = ks_to_exponential(Dummy())
-    assert rep.sup_abs_err == pytest.approx(abs(0.3 - math.exp(-1)))
-    assert rep.stderr is not None
+    assert ks_to_exponential(obs_f, fine) >= ks_to_exponential(obs_c, t)
 
 
 def test_ks_validation():
-    with pytest.raises(ValueError):
-        ks_to_exponential(np.array([1.0]))
-    with pytest.raises(ValueError):
-        ks_to_exponential(np.array([]), t_grid=np.array([]))
+    with pytest.raises(ValueError, match="lengths differ"):
+        ks_to_exponential(np.array([1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="non-empty"):
+        ks_to_exponential(np.array([]), np.array([]))
 
 
 def test_trend_basic_and_validation():
@@ -118,11 +103,11 @@ def test_every_t_grid_consumer_applies_the_one_rule(grid, accepted):
              "sweep": {"n": [3], "t": list(grid)}}
     circle = {"experiment": "circle_law", "seeds": [1], "trials": 100,
               "sweep": {"t": list(grid), "r": [0.05]}}
-    for tree in (shift, circle):
+    annealed = dict(shift, experiment="annealed_shift", trials=2)
+    for tree in (shift, annealed, circle):
         assert validate(tree) == ([] if accepted else [f"sweep.t: {want}"])
     calls = (
         lambda: rescaled_survival(fm, proc, sample_window(proc, 1, 100), pat, grid),
-        lambda: annealed_survival(fm, proc, pat, grid, n_windows=2, seed=1),
         lambda: quenched_law_statistic(CircleRDS(), [0, 1] * 10, 0.3, 0.05, grid,
                                        trials=100, seed=1),
     )

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -10,12 +11,11 @@ from conftest import random_base, random_fiber_measure
 from hitlaw import survival
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.config import build_config
-from hitlaw.experiments import run_experiment
+from hitlaw.experiments import _draw_pattern, run_experiment
 from hitlaw.fiber import FiberMeasure, Pattern, fiber_cylinder_measure
-from hitlaw.survival import (SurvivalCurve, annealed_survival,
-                             build_automaton, conditional_return_survival,
-                             quenched_survival, rescaled_survival,
-                             sample_hitting_time)
+from hitlaw.survival import (SurvivalCurve, build_automaton,
+                             conditional_return_survival, quenched_survival,
+                             rescaled_survival)
 
 
 def test_automaton_hand_transitions():
@@ -184,7 +184,7 @@ def test_rescaled_survival_basics(coin_pair):
     assert np.all(curve.k_values == [math.floor(t * 2**n) for t in t_grid])
     full = quenched_survival(fm, win, pat, k_max=k_max)
     for t, k, v in zip(curve.t_grid, curve.k_values, curve.values):
-        assert v == full.value_at(int(k))
+        assert v == full.values[int(k)]
 
 
 def test_rescaled_single_symbol_closed_form():
@@ -236,17 +236,18 @@ def test_rescaled_step_cap(coin_pair, tmp_path, monkeypatch):
     assert reads == 0
 
 
-def test_annealed_step_cap(coin_pair, tmp_path, monkeypatch):
-    proc, fm = coin_pair
-    pat = Pattern((0,) * 10, 2)
-    out = annealed_survival(fm, proc, pat, [0.0, 0.05, 4.0], n_windows=3, seed=1)
-    assert out.k_values.tolist() == [0, 51, 4096]
+def test_annealed_step_cap(tmp_path, monkeypatch):
     # an annealed word is priced at all its windows, 3 x 41,050, in every
     # chunk: three chunks of one window each truncate it alike, once
     annealed = dict(experiment="annealed_shift", trials=3, threads=3)
     manifest, _ = _fair_run(tmp_path, monkeypatch, "at", operation_budget=123150,
                             **annealed)
     assert manifest["truncated"] == []
+    # t = 0 reads k = 0, where every window survives: mean 1, stderr 0
+    rows = [row.split(",") for row in
+            (tmp_path / "at" / "annealed_n10.csv").read_text().splitlines()[1:]]
+    assert rows[0][1:4] == ["0", "1", "0"]
+    assert [row[1] for row in rows] == ["0", "4096"]
     manifest, _ = _fair_run(tmp_path, monkeypatch, "over", operation_budget=123149,
                             **annealed)
     assert manifest["truncated"] == ["annealed n=10: needs 123150 column-state "
@@ -255,14 +256,49 @@ def test_annealed_step_cap(coin_pair, tmp_path, monkeypatch):
         "t,k,mean_survival,stderr,exp_minus_t,abs_err\n"
 
 
+def test_annealed_survival_degenerate_and_zero_variance(coin_pair, tmp_path):
+    # an annealed run's mean is the mean of its windows' rescaled curves:
+    # one window gives that window's curve with stderr 0, and at t = 0
+    # every window survives, so five windows give mean 1 and stderr 0
+    proc, fm = coin_pair
+    t_grid = [0.0, 0.5, 1.0]
+    for windows in (1, 5):
+        cfg = build_config({"experiment": "annealed_shift", "seeds": [17],
+                            "trials": windows, "threads": 1,
+                            "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
+                            "fiber": {"matrix": fm.W.tolist()},
+                            "sweep": {"n": [3], "t": t_grid}})
+        run_experiment(cfg, str(tmp_path / str(windows)))
+        with open(tmp_path / str(windows) / "annealed_n3.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        mean = [float(row["mean_survival"]) for row in rows]
+        pat = _draw_pattern(cfg, 17, 3)
+        curves = np.array([rescaled_survival(fm, proc, sample_window(proc, [17, 0, w], 3),
+                                             pat, t_grid).values
+                           for w in range(windows)])
+        if windows == 1:
+            assert mean == curves[0].tolist()
+            assert [row["stderr"] for row in rows] == ["0"] * 3
+        else:
+            assert mean == pytest.approx(curves.mean(axis=0).tolist(), rel=1e-12)
+            assert mean[0] == 1.0
+            assert float(rows[0]["stderr"]) == 0.0
+
+
+def _sample_hitting(fm, window, aut, rng, cap):
+    """A Monte Carlo hitting time of a fresh fiber point, from coordinate 1."""
+    return survival._scan_hitting(fm, window, aut, rng, cap, start_state=0,
+                                  first_coord=1)
+
+
 def test_sample_hitting_geometric_case():
     # near-certain symbol: hitting time 1 with probability ~0.999
     fm = FiberMeasure([[0.999, 0.001], [0.999, 0.001]])
     proc = BaseProcess.bernoulli([0.5, 0.5])
     win = sample_window(proc, seed=4, length=10)
     rng = make_rng(40)
-    hits = sum(sample_hitting_time(fm, win, Pattern((0,), 2), rng, cap=10**4) == 1
-               for _ in range(10**4))
+    aut = build_automaton(Pattern((0,), 2))
+    hits = sum(_sample_hitting(fm, win, aut, rng, 10**4) == 1 for _ in range(10**4))
     sigma = math.sqrt(0.999 * 0.001 / 10**4)
     assert abs(hits / 10**4 - 0.999) < 3 * sigma
 
@@ -271,7 +307,7 @@ def test_sample_hitting_censored_never_raises(coin_pair):
     proc, fm = coin_pair
     win = sample_window(proc, seed=5, length=10)
     pat = Pattern((0,) * 8, 2)
-    out = sample_hitting_time(fm, win, pat, make_rng(1), cap=3)
+    out = _sample_hitting(fm, win, build_automaton(pat), make_rng(1), 3)
     assert out is None or 1 <= out <= 3
 
 
@@ -282,21 +318,8 @@ def test_sample_hitting_empirical_cdf_matches_exact(coin_pair):
     win = sample_window(proc, seed=6, length=k_max + pat.n + 1)
     exact = quenched_survival(fm, win, pat, k_max=k_max)
     trials = 10**4
-    rng = make_rng(60)
-    taus = np.array([sample_hitting_time(fm, win, pat, rng, cap=k_max) or (k_max + 1)
+    rng, aut = make_rng(60), build_automaton(pat)
+    taus = np.array([_sample_hitting(fm, win, aut, rng, k_max) or (k_max + 1)
                      for _ in range(trials)])
     emp = np.array([(taus > k).mean() for k in range(k_max + 1)])
     assert np.max(np.abs(emp - exact.values)) < 1.36 / math.sqrt(trials) * 1.5
-
-
-def test_annealed_survival_degenerate_and_zero_variance(coin_pair):
-    proc, fm = coin_pair
-    pat = Pattern((0, 1, 0), 2)
-    t_grid = [0.0, 0.5, 1.0]
-    out = annealed_survival(fm, proc, pat, t_grid, n_windows=1, seed=17)
-    win = sample_window(proc, [17, 0], math.floor(1.0 * 2**3) + pat.n + 1)
-    single = rescaled_survival(fm, proc, win, pat, t_grid)
-    assert np.array_equal(out.mean, single.values)
-    out5 = annealed_survival(fm, proc, pat, t_grid, n_windows=5, seed=17)
-    assert out5.mean[0] == 1.0
-    assert out5.stderr[0] == 0.0
