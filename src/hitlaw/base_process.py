@@ -15,11 +15,23 @@ is literally the same realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 _STOCHASTIC_ATOL = 1e-12
 _DRAW_BLOCK = 1 << 16
+# Once fewer runs than this are live, their tails are walked one symbol at a
+# time.  A vectorized round costs about 5 us however few runs it advances,
+# against about 90 ns a symbol for the list walk, so a round pays only while
+# dozens of runs share it.  A sticky chain's runs last ~1 / (1 - diagonal)
+# steps: at diagonal 1 - 1e-6, rounds alone took about 5.6 us a symbol.
+_RUN_HANDOFF = 32
+# [0, 1) is cut into this many equal bins, so that u * _CELL_BINS is exact
+# and its floor names u's bin.  A bin that no breakpoint splits gives every
+# u in it one cell, read from a table; only the draws in the few split bins
+# are searched.  The lookup costs about 5 ns a draw, a search about 15.
+_CELL_BINS = 1 << 12
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -114,6 +126,27 @@ class BaseProcess:
             return int(self.weights.size)
         return int(self.transition.shape[0])
 
+    @cached_property
+    def _chain_steps(self) -> tuple:
+        """The chain walk's tables (see ``_WindowBuffer``), built once per
+        process object: the breakpoints that cut [0, 1) into cells, the cell
+        of each bin (-1 where a breakpoint splits it), each cell's step map
+        (as an array and as tuples), and whether it pins."""
+        cum = np.cumsum(self.transition, axis=1)
+        cum[:, -1] = 1.0   # so that no draw u < 1 falls past a row's end
+        breaks = np.unique(cum[:, :-1])
+        breaks = breaks[breaks < 1.0]
+        grid = np.arange(_CELL_BINS + 1) / _CELL_BINS
+        lo_cell = breaks.searchsorted(grid[:-1], side="right")
+        bins = np.where(lo_cell == breaks.searchsorted(grid[1:]), lo_cell, -1)
+        lower = np.concatenate(([0.0], breaks))
+        # row x's searchsorted(side="right") of any u in a cell counts the
+        # row's entries at or below the cell's lower edge
+        step = (cum <= lower[:, None, None]).sum(axis=2).astype(
+            np.min_scalar_type(self.alphabet_size - 1))
+        pinned = (step == step[:, :1]).all(axis=1)
+        return breaks, bins, step, pinned, [tuple(m) for m in step.tolist()]
+
 
 class _WindowBuffer:
     """Growable symbol buffer shared by a window and all its shifted views.
@@ -121,9 +154,18 @@ class _WindowBuffer:
     Extension draws from the stored generator, so it is deterministic for a
     given seed and independent of how the extensions are interleaved.
     Symbols are kept in the smallest unsigned dtype that holds the alphabet.
-    A Markov extension draws its uniforms at once, maps each one through
-    every transition row in bulk, and walks the maps in blocks of
-    ``_DRAW_BLOCK`` steps: the symbols are those of one searchsorted per step.
+
+    A Markov extension draws one uniform per symbol at once and walks them
+    in blocks of ``_DRAW_BLOCK`` steps.  The transition rows' breakpoints cut
+    [0, 1) into cells; inside one cell every row's searchsorted is the same,
+    so each step's map is its cell's, which one search against the
+    breakpoints gives (or a bin table, see ``_CELL_BINS``).  A step
+    whose map sends every state to one symbol pins the chain there and fixes
+    its symbol outright.  The unpinned steps form runs, each starting from
+    the symbol before it; every live run advances one step per vectorized
+    round, and once fewer than ``_RUN_HANDOFF`` are live their tails are
+    walked one symbol at a time.  The symbols are those of one searchsorted
+    per step, however the draws are split into reads or blocks.
     """
 
     def __init__(self, proc: BaseProcess, rng: np.random.Generator, length: int):
@@ -135,11 +177,9 @@ class _WindowBuffer:
             self._cdf = np.cumsum(proc.weights)
             self._cdf /= self._cdf[-1]
         else:
-            # last entries pinned to 1, so that no draw u < 1 falls past them
+            # last entry pinned to 1, so that no draw u < 1 falls past it
             self._cdf = np.cumsum(proc.stationary)
             self._cdf[-1] = 1.0
-            self._cum = np.cumsum(proc.transition, axis=1)
-            self._cum[:, -1] = 1.0
         if length > 0:
             self.extend_to(length)
 
@@ -158,12 +198,41 @@ class _WindowBuffer:
                 state = block[0] = int(self._cdf.searchsorted(u[0], side="right"))
                 start = 1
             for lo in range(start, extra, _DRAW_BLOCK):
-                chunk = u[lo:lo + _DRAW_BLOCK]
-                # step i maps each state x to row x's searchsorted of u[i]
-                maps = zip(*[row.searchsorted(chunk, side="right").tolist()
-                             for row in self._cum])
-                block[lo:lo + chunk.size] = [state := step[state] for step in maps]
+                chunk = self._walk(u[lo:lo + _DRAW_BLOCK], state)
+                block[lo:lo + chunk.size] = chunk
+                state = int(chunk[-1])
         self.symbols = np.concatenate([self.symbols, block.astype(self.symbols.dtype, copy=False)])
+
+    def _walk(self, u: np.ndarray, state: int) -> np.ndarray:
+        """The chain's symbols for the uniforms ``u``, after ``state``."""
+        breaks, bins, step, pinned, maps = self.proc._chain_steps
+        cell = bins[(u * _CELL_BINS).astype(np.intp)]
+        split = (cell < 0).nonzero()[0]
+        cell[split] = breaks.searchsorted(u[split], side="right")
+        # step.ravel()[s * c + x] is cell c's map of state x
+        flat, key = step.ravel(), cell * step.shape[1]
+        sym = flat[key]   # right at pinned steps; the runs overwrite the rest
+        free = np.zeros(u.size + 2, dtype=bool)   # unpinned steps, between pinned ends
+        np.logical_not(pinned[cell], out=free[1:-1])
+        edges = (free[1:] != free[:-1]).nonzero()[0]
+        starts, lengths = edges[::2], edges[1::2] - edges[::2]
+        prev = sym[starts - 1]   # the pinned symbol before each run
+        if starts.size and starts[0] == 0:
+            prev[0] = state
+        order = np.argsort(lengths, kind="stable")
+        starts, lengths, prev = starts[order], lengths[order], prev[order]
+        # round r advances every run longer than r, a suffix by length
+        r = first = 0
+        while starts.size - first >= _RUN_HANDOFF:
+            at = starts[first:] + r
+            prev[first:] = sym[at] = flat[key[at] + prev[first:]]
+            r += 1
+            first = int(lengths.searchsorted(r, side="right"))
+        for lo, hi, x in zip((starts[first:] + r).tolist(),
+                             (starts[first:] + lengths[first:]).tolist(),
+                             prev[first:].tolist()):
+            sym[lo:hi] = [x := maps[c][x] for c in cell[lo:hi].tolist()]
+        return sym
 
 
 class BaseWindow:

@@ -58,9 +58,11 @@ class ExperimentConfig:
         # directory change how and where a run computes, never what it writes
         science = {f.name: getattr(self, f.name) for f in fields(self)
                    if f.name not in ("threads", "output_dir")}
+        # arrays, then the model objects by their fields alone: an object
+        # may cache what it derives from them, once it has drawn noise
         canon = json.dumps(science, sort_keys=True, separators=(",", ":"),
                            default=lambda x: x.tolist() if isinstance(x, np.ndarray)
-                           else vars(x))   # arrays, then the model objects
+                           else {f.name: getattr(x, f.name) for f in fields(x)})
         return hashlib.sha256(canon.encode()).hexdigest()
 
 

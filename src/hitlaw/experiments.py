@@ -20,7 +20,6 @@ priced in column-state reads before it draws its noise, and one priced over
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -49,12 +48,6 @@ CIRCLE_COLUMNS = ("seed", "r", "t", "empirical_survival", "exp_minus_t",
 ENTROPY_COLUMNS = ("n", "smb_mean", "smb_stderr", "ow_mean", "ow_stderr",
                    "censored", "samples")
 SINGULARITY_COLUMNS = ("draw", "match_count", "log_ratio")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
 
 
 def _workers(threads: int) -> int:
@@ -410,11 +403,13 @@ def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
         path = os.path.join(out_dir, name)
         if kind == "csv":
             header, rows = payload
+            # floats in round-trip form; no field holds a comma, quote or
+            # newline, so no field needs CSV quoting
+            lines = [",".join(header)]
+            lines += [",".join([format(v, ".17g") if isinstance(v, (float, np.floating))
+                                else str(v) for v in row]) for row in rows]
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_fmt(v) for v in row])
+                fh.write("\n".join(lines) + "\n")
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(_strict(payload[0]), fh, indent=2, sort_keys=True,

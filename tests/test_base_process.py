@@ -113,6 +113,27 @@ def test_markov_extension_draws_what_the_per_symbol_loop_draws(raw, seed, short,
     assert win.prefix(stop).tolist() == want
 
 
+@settings(max_examples=12, deadline=None)
+@given(s=st.integers(2, 5), stay=st.sampled_from([0.9, 0.99, 1 - 1e-3, 1 - 1e-6]),
+       seed=st.integers(0, 2**32 - 1),
+       reads=st.lists(st.integers(1, 3 * _DRAW_BLOCK // 2), min_size=1, max_size=2))
+def test_sticky_markov_extension_draws_what_the_per_symbol_loop_draws(s, stay, seed, reads):
+    # a chain that stays put with probability `stay` (off-diagonal entries
+    # down to 1e-6 / 4) unpins most steps: its runs last about 1 / (1 - stay)
+    # steps, so they outlive the vectorized rounds and are walked one
+    # symbol at a time, across read and _DRAW_BLOCK boundaries
+    q = np.full((s, s), (1 - stay) / (s - 1))
+    np.fill_diagonal(q, stay)
+    proc = BaseProcess.markov(q)
+    win = sample_window(proc, seed, reads[0])
+    ref_rng = make_rng(seed)
+    want = _markov_reference(proc, ref_rng, reads[0])
+    for extra in reads[1:]:
+        win.prefix(len(want) + extra)
+        want += _markov_reference(proc, ref_rng, extra, want[-1])
+    assert win.prefix(len(want)).tolist() == want
+
+
 class _PresetRng:
     """Stands in for a generator: returns preset uniforms in order."""
 
@@ -136,6 +157,27 @@ def test_markov_draw_below_one_stays_in_alphabet(proc, draws, want):
     # a cumulative row that ends just under 1 must not map u < 1 past it
     buf = _WindowBuffer(proc, _PresetRng(draws), len(draws))
     assert buf.symbols.tolist() == want
+
+
+def test_markov_draws_on_the_cell_edges_stay_those_of_the_per_symbol_loop():
+    # row 0 ends its first cell where row 1 ends its second, so the rows'
+    # breakpoints 0.2, 0.5, 0.7 and 0.75 are four, not six.  Uniforms on a
+    # breakpoint, at 0.0, inside each cell, in the top cell [0.75, 1), whose
+    # step pins the chain at 2, and either side of a breakpoint inside one
+    # _CELL_BINS bin cover every cell edge; 2,000 of them make enough runs
+    # to go through the vectorized rounds
+    proc = BaseProcess.markov([[0.2, 0.3, 0.5], [0.2, 0.5, 0.3], [0.5, 0.25, 0.25]])
+    edges = [0.0, 0.2, 0.5, 0.7, 0.75, 0.1, 0.35, 0.6, 0.72, 0.9, 1.0 - 1e-16,
+             0.2 - 1e-12, 0.2 + 1e-12, 0.7 - 1e-12, 0.7 + 1e-12]
+    draws = np.random.default_rng(3).choice(edges, 2000).tolist()
+    buf = _WindowBuffer(proc, _PresetRng(draws), len(draws))
+    assert buf.symbols.tolist() == _markov_reference(proc, _PresetRng(draws), len(draws))
+    # by hand: the first symbol reads the stationary law; then, on
+    # breakpoints, 0.2 takes 0 to 1 and 0.5 keeps 1; 0.0 pins 0; 0.5 takes
+    # 0 to 2; 0.75 and 0.9 pin 2; 0.2 takes 2 to 0, and 0.7 takes 0 to 2
+    draws = [proc.stationary[0] / 2, 0.2, 0.5, 0.0, 0.5, 0.75, 0.9, 0.2, 0.7]
+    buf = _WindowBuffer(proc, _PresetRng(draws), len(draws))
+    assert buf.symbols.tolist() == [0, 1, 1, 0, 2, 2, 2, 0, 2]
 
 
 def test_shifted_window_shares_realization():

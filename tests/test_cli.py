@@ -1,12 +1,14 @@
 import copy
 import csv
 import datetime
+import io
 import json
 import os
 import re
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hitlaw.base_process import sample_window
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
-from hitlaw.experiments import KINDS, _draw_pattern, run_experiment
+from hitlaw.experiments import KINDS, _draw_pattern, run_experiment, write_artifacts
 from hitlaw.survival import rescaled_survival
 
 
@@ -376,6 +378,48 @@ def test_config_hash_reads_only_the_science_inputs(tmp_path):
     assert manifest["config_hash"] == build_config(_tiny_tree()).config_hash()
     elsewhere = build_config(_tiny_tree(output_dir="elsewhere", threads=2))
     assert elsewhere.config_hash() == manifest["config_hash"]
+
+
+def test_config_hash_is_the_same_once_markov_windows_are_drawn(tmp_path):
+    # at one worker the run draws its Markov windows in this process, and
+    # the base process object keeps what it derived for them; at two the
+    # workers draw them.  The hash reads the model objects' fields alone,
+    # so both runs write the hash of the config as parsed
+    tree = _tiny_tree(base={"kind": "markov", "transition": [[0.7, 0.3], [0.4, 0.6]]})
+    want = build_config(tree).config_hash()
+    hashes = []
+    for threads in (1, 2):
+        cfg = build_config(dict(tree, threads=threads))
+        run_experiment(cfg, str(tmp_path / str(threads)))
+        manifest = json.loads((tmp_path / str(threads) / "manifest.json").read_text())
+        hashes.append(manifest["config_hash"])
+    assert hashes == [want, want]
+
+
+def _csv_writer_fmt(value):
+    """How each CSV value was once formatted for ``csv.writer``."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def test_csv_values_keep_the_bytes_csv_writer_wrote(tmp_path):
+    # CSV lines are joined by hand; csv.writer, which wrote them before,
+    # is the oracle, and the bytes are pinned as well
+    header = ("a", "b", "c", "d", "e", "f")
+    rows = [(3, np.int64(-7), 0.1, np.float64(1 / 3), float("nan"), float("inf")),
+            (0, np.int64(2**40), -0.0, np.float64(-1e-300), np.float64("nan"), -np.inf)]
+    write_artifacts(build_config(_tiny_tree()), {"x.csv": ("csv", header, rows)}, [],
+                    str(tmp_path))
+    old = io.StringIO()
+    writer = csv.writer(old, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_writer_fmt(v) for v in row] for row in rows)
+    got = (tmp_path / "x.csv").read_bytes()
+    assert got == old.getvalue().encode()
+    assert got == (b"a,b,c,d,e,f\n"
+                   b"3,-7,0.10000000000000001,0.33333333333333331,nan,inf\n"
+                   b"0,1099511627776,-0,-1e-300,nan,-inf\n")
 
 
 def _reject_constant(name):
