@@ -13,9 +13,12 @@ Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
 of columns of one word length, each chunk one kernel call, and quenched
 chunks are sized by kernel table bytes (``_shift_items``); every column's
-curve is bit-identical however the columns are chunked.  Each exact item is
-priced in column-state reads before it draws its noise, and one priced over
-``operation_budget`` is truncated (``_over_budget``).
+curve is bit-identical however the columns are chunked.  A ledger item is
+one (n, seed), whose t's share one sweep per gap (``_ledger_item``); items
+go out heaviest word length first.  Each exact item is priced in
+column-state reads before it draws its noise, and one priced over
+``operation_budget`` is truncated (``_over_budget``); a ledger item is
+priced t by t.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .base_process import make_rng, sample_window
 from .circle import CircleRDS, quenched_law_statistic
 from .config import ExperimentConfig
 from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fiber_prefix
-from .ledger import (_ledger_price, compute_ledger, estimate_entropies,
-                     gap_schedule, verify_sandwich)
+from .ledger import (_ledger_price, estimate_entropies, gap_schedule,
+                     ledger_checkpoints, verify_sandwich)
 from .stats import ks_to_exponential, trend_report
 from .survival import _BLOCK_CODES, _rescaled_k, _windows_survival
 
@@ -229,32 +232,46 @@ def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
 
 
 def _ledger_item(args):
-    cfg, n, t, seed = args
-    label = f"ledger n={n} t={t} seed={seed}"
+    """Every t of one (n, seed): each is priced before any noise is drawn,
+    and one with k=0 or over the budget gets its marker; the admitted t's
+    share the word and window, and those of one gap g = min(gap schedule,
+    k) share one sweep (``ledger_checkpoints``), at the largest of them."""
+    cfg, n, seed = args
     pat = _draw_pattern(cfg, seed, n)
-    k = math.floor(t / marginal_cylinder_measure(cfg.fiber, cfg.base, pat))
-    if k < 1:
-        return [("truncated", f"{label}: k=0, t too small")]
-    g = min(gap_schedule(n, cfg.fiber.h0), k)
-    marker = _over_budget(label, _ledger_price(n, k, g, cfg.jmax_factor * k),
-                          cfg.operation_budget)
-    if marker:
-        return [("truncated", marker)]
-    window = sample_window(cfg.base, [seed, 0], n)
-    led = compute_ledger(cfg.fiber, cfg.base, window, pat, t, g,
-                         jmax=cfg.jmax_factor * k)
-    row = (seed, n, t, led.g, led.k, led.M, led.G, led.H, led.K,
-           led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
-    ok = (led.lemma_lhs <= led.lemma_rhs + 1e-12
-          and led.delta_sum <= led.G + led.H + led.K + 1e-12)
-    return [("ok", (n, t, seed), (row, ok))]
+    mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
+    gap = gap_schedule(n, cfg.fiber.h0)
+    outcomes, groups = [], {}
+    for t in cfg.t_grid:
+        label = f"ledger n={n} t={t} seed={seed}"
+        k = math.floor(t / mu)
+        g, jmax = min(gap, k), cfg.jmax_factor * k
+        marker = f"{label}: k=0, t too small" if k < 1 else _over_budget(
+            label, _ledger_price(n, k, g, jmax), cfg.operation_budget)
+        if marker:
+            outcomes.append(("truncated", marker))
+        else:
+            groups.setdefault(g, []).append((t, k, jmax))
+    if groups:
+        window = sample_window(cfg.base, [seed, 0], n)
+    for g, checkpoints in groups.items():
+        for led in ledger_checkpoints(cfg.fiber, window, pat, g, checkpoints):
+            row = (seed, n, led.t, led.g, led.k, led.M, led.G, led.H, led.K,
+                   led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
+            ok = (led.lemma_lhs <= led.lemma_rhs + 1e-12
+                  and led.delta_sum <= led.G + led.H + led.K + 1e-12)
+            outcomes.append(("ok", (n, led.t, seed), (row, ok)))
+    return outcomes
 
 
 def _reduce_ledger(cfg: ExperimentConfig, done) -> dict:
-    # the product-vs-exponential sandwich is part of the same verification pass
+    # rows in (n, t, seed) order, whatever order the items ran in; the n
+    # and t grids increase, the seeds keep their listed order
+    done = sorted(done, key=lambda out: (*out[0][:2], cfg.seeds.index(out[0][2])))
+    # the product-vs-exponential sandwich is part of the same verification
+    # pass: per eps, 100 sequences of 50, drawn in one call
     rng = make_rng(cfg.seeds[0])
-    sandwich_ok = all(verify_sandwich(rng.uniform(0, eps, size=50), eps)
-                      for eps in (0.01, 0.1, 0.5) for _ in range(100))
+    sandwich_ok = all(verify_sandwich(rng.uniform(0, eps, size=(100, 50)), eps)
+                      for eps in (0.01, 0.1, 0.5))
     report = {
         "rows": len(done),
         "bound_violations": sum(1 for _, (_, ok) in done if not ok),
@@ -369,7 +386,8 @@ def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
 KINDS = {
     "quenched_shift": (_shift_items, _shift_chunk, _reduce_quenched),
     "annealed_shift": (_shift_items, _shift_chunk, _reduce_annealed),
-    "ledger": (lambda cfg: _items(cfg, cfg.n_grid, cfg.t_grid, cfg.seeds),
+    # heaviest word length first; the reducer restores (n, t, seed) order
+    "ledger": (lambda cfg: _items(cfg, cfg.n_grid[::-1], cfg.seeds),
                _ledger_item, _reduce_ledger),
     "entropy": (lambda cfg: _items(cfg, cfg.n_grid),
                 _entropy_item, _reduce_entropy),

@@ -8,7 +8,9 @@ RETURN mass (K).  Everything here is computed exactly from the automaton
 recursion of :mod:`hitlaw.survival`, batched across the k offsets, with
 compensated summation for the long accumulations.  The recursions of all
 offsets advance in one sweep over absolute noise coordinate (``_sweep``),
-where every live recursion shares each coordinate's matrix.
+where every live recursion shares each coordinate's matrix; one sweep at
+the largest of several (k, jmax) checkpoints of one word, window and gap
+reads every smaller one at its own cutoffs (``ledger_checkpoints``).
 
 The suprema defining delta and H run over all j >= 1 in principle; they are
 evaluated over j <= jmax and therefore reported as certified lower bounds
@@ -93,7 +95,11 @@ def _sweep(mats: np.ndarray, symbols: np.ndarray, first: int, entry: np.ndarray,
     (step e: the rows 1^T T_l ... T_e, zero for l < e, over the suffix
     T_{L-1} ... T_e, T_l the matrix of a + l), one (L, states) @ (states,
     columns) product for the columns live at a, and one batched product
-    for those entering later."""
+    for those entering later.  The first product never has one row, which
+    numpy would hand to gemv, rounding otherwise than gemm: a column's
+    masses then do not depend on where the sweep stops (at up to about 200
+    product columns; wider, BLAS may round a last bit otherwise at some
+    widths)."""
     columns, families, states = entry.shape
     V = np.zeros_like(entry)
     ones_T = mats.sum(axis=1)   # 1^T T per matrix
@@ -114,7 +120,8 @@ def _sweep(mats: np.ndarray, symbols: np.ndarray, first: int, entry: np.ndarray,
         entering = (chain[first - a + np.arange(mid, hi)]
                     @ entry[mid:hi].transpose(0, 2, 1))
         masses = np.empty((families, L, hi - lo))
-        masses[:, :, :mid - lo] = (chain[0, :L] @ live.T).reshape(
+        # two rows at least: numpy hands a one-row product to gemv
+        masses[:, :, :mid - lo] = (chain[0, :max(L, 2)] @ live.T)[:L].reshape(
             L, mid - lo, families).transpose(2, 0, 1)
         masses[:, :, mid - lo:] = entering[:, :L].transpose(2, 1, 0)
         # zero past each column's last read; only the first L columns have any
@@ -132,14 +139,19 @@ def _ledger_price(n: int, k: int, g: int, jmax: int) -> int:
     return n * ((k + g + 1) * (n - 1 + jmax) + k * jmax) + (n + 1) * k * (g + jmax)
 
 
-def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
-                 jmax: int, g: int | None):
-    """(d, s0_at_k, c_at_g, s_at_g, h) from one sweep: per offset i = 1..k,
-    d_i = sup_{j <= jmax} |survival from i - return recursion of i|; survival
-    from 0 at j = k; with a gap g (else None), return recursion and survival
-    of i at j = g, and h_i = sup_j |delayed-mask of i - survival from i+g|."""
+def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
+                 checkpoints, g: int | None) -> list:
+    """Per checkpoint (k, jmax), ascending in both, (d, s0_at_k, c_at_g,
+    s_at_g, h) from one sweep at the last: per offset i = 1..k, d_i =
+    sup_{j <= jmax} |survival from i - return recursion of i|; survival from
+    0 at j = k; with a gap g (else None), return recursion and survival of i
+    at j = g, and h_i = sup_{j <= jmax} |delayed-mask of i - survival from
+    i+g|.  The sweep is laid out in absolute coordinate, so an earlier
+    checkpoint reads its columns at their own cutoffs (see ``_sweep`` for
+    when that is bit for bit its own sweep)."""
     n = pat.n
     gap = g or 0
+    k, jmax = checkpoints[-1]
     symbols = window.prefix(k + gap + jmax + n)
     aut = build_automaton(pat)
     # column p of each family reads its j = 1..jmax from coordinate n + p,
@@ -160,45 +172,67 @@ def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
                   h_V, [g])
         entry[g + 1:, 2] = h_V
 
-    # per column, the sup over j of |family - survival|, and every family's
-    # mass at j = g and j = k
-    sup = np.zeros((families - 1, k + gap + 1))
-    at = {j: np.zeros((families, k + gap + 1)) for j in (gap, k) if j}
+    # per checkpoint and column, the sup over j <= jmax of |family -
+    # survival|; the last checkpoint's runs over whole blocks, an earlier
+    # one's takes, in the block holding a column's cutoff, the rows up to it
+    sup = np.zeros((len(checkpoints), families - 1, k + gap + 1))
+    cutoffs = [jmax_c for _, jmax_c in checkpoints[:-1]]
+    # every family's mass at j = g and at each checkpoint's j = k
+    at = {j: np.zeros((families, k + gap + 1))
+          for j in {gap, *(k_c for k_c, _ in checkpoints)} if j}
     for a, lo, masses in _sweep(masked_arrival_matrices(fm, aut), symbols, n,
                                 entry, jmax):
         L, width = masses.shape[1:]
-        col = np.arange(lo, lo + width)
-        span = sup[:, lo:lo + width]
-        np.maximum(span, np.abs(masses[1:] - masses[0]).max(axis=1), out=span)
+        hi = lo + width
+        diff = np.abs(masses[1:] - masses[0])
+        for c, j in enumerate(cutoffs):
+            # column p reads its j at row p - base; p0 .. p1-1 do so here
+            base = a - n - j + 1
+            p0, p1 = max(lo, base), min(hi, base + L)
+            if p0 < p1:
+                rows = np.arange(L)[:, np.newaxis] <= np.arange(p0, p1) - base
+                upto = np.where(rows, diff[:, :, p0 - lo:p1 - lo], 0.0).max(axis=1)
+                sup[c][:, p0:p1] = np.maximum(sup[-1][:, p0:p1], upto)
+        span = sup[-1][:, lo:hi]
+        np.maximum(span, diff.max(axis=1), out=span)
         for j, values in at.items():
-            row = col + n + j - 1 - a   # column p's mass at j, when in this block
-            hit = (0 <= row) & (row < L)
-            values[:, col[hit]] = masses[:, row[hit], hit]
-    s0_at_k = float(at[k][0, 0])
+            base = a - n - j + 1
+            p0, p1 = max(lo, base), min(hi, base + L)
+            if p0 < p1:
+                values[:, p0:p1] = masses[:, np.arange(p0, p1) - base,
+                                          np.arange(p0 - lo, p1 - lo)]
     if g is None:
-        return sup[0, 1:], s0_at_k, None, None, None
-    return (sup[0, 1:k + 1], s0_at_k, at[g][1, 1:k + 1], at[g][0, 1:k + 1],
-            sup[1, g + 1:])
+        return [(sup_c[0, 1:k_c + 1], float(at[k_c][0, 0]), None, None, None)
+                for (k_c, _), sup_c in zip(checkpoints, sup)]
+    return [(sup_c[0, 1:k_c + 1], float(at[k_c][0, 0]), at[g][1, 1:k_c + 1],
+             at[g][0, 1:k_c + 1], sup_c[1, g + 1:k_c + g + 1])
+            for (k_c, _), sup_c in zip(checkpoints, sup)]
 
 
-def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
-                 jmax: int, g: int | None):
-    """Batched exact evaluation of the per-offset discrepancies.
+def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
+                 checkpoints, g: int | None) -> list:
+    """Batched exact evaluation of the per-offset discrepancies, per
+    checkpoint (k, jmax) of :func:`_sweep_terms`.
 
-    Returns (mu, delta, both sides of the recursion bound, the one-miss
-    product) and, when a gap g is given, also (conditional mass at g,
-    survival at g, mixing sup) per offset.
+    Returns, per checkpoint, (mu, delta, both sides of the recursion bound,
+    the one-miss product) and, when a gap g is given, also (conditional mass
+    at g, survival at g, mixing sup) per offset.
     """
-    d_sup, s0_at_k, *gap_terms = _sweep_terms(fm, window, pat, k, jmax, g)
+    k = checkpoints[-1][0]
     offsets = np.arange(1, k + 1, dtype=np.int64)
-    mu = _cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets)
-    # both sides of the recursion bound, against the one-miss product
-    delta = d_sup * mu
-    one_minus = 1.0 - mu
-    prod_term = float(np.prod(one_minus))
-    prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
-    lemma = (abs(s0_at_k - prod_term), math.fsum(delta * prefix))
-    return mu, delta, lemma, prod_term, *gap_terms
+    mus = _cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets)
+    terms = []
+    for (k_c, _), (d_sup, s0_at_k, *gap_terms) in zip(
+            checkpoints, _sweep_terms(fm, window, pat, checkpoints, g)):
+        mu = mus[:k_c]
+        # both sides of the recursion bound, against the one-miss product
+        delta = d_sup * mu
+        one_minus = 1.0 - mu
+        prod_term = float(np.prod(one_minus))
+        prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
+        lemma = (abs(s0_at_k - prod_term), math.fsum(delta * prefix))
+        terms.append((mu, delta, lemma, prod_term, *gap_terms))
+    return terms
 
 
 def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float) -> int:
@@ -261,21 +295,32 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     jmax = 4 * k if jmax is None else jmax
     if jmax < max(k, g):
         raise ValueError("jmax must cover both k and g")
+    return ledger_checkpoints(fm, window, pat, g, [(t, k, jmax)])[0]
 
-    mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup = _delta_terms(
-        fm, window, pat, k, jmax, g)
-    m_sum = math.fsum(mu)
-    return ErrorLedger(
-        n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
-        M=m_sum,
-        G=math.fsum(mu * (1.0 - c_at_g)),
-        H=math.fsum(mu * h_sup),
-        K=math.fsum(mu * (1.0 - s_at_g)),
-        delta_sum=math.fsum(delta),
-        lemma_lhs=lemma[0],
-        lemma_rhs=lemma[1],
-        sandwich_gap=abs(prod_term - math.exp(-m_sum)),
-    )
+
+def ledger_checkpoints(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
+                       g: int, checkpoints) -> list:
+    """The :func:`compute_ledger` result at each checkpoint (t, k, jmax),
+    ascending in k and jmax, each with 1 <= g <= k <= jmax, from one sweep
+    at the last: the ledgers of one word, window and gap at several t."""
+    terms = _delta_terms(fm, window, pat,
+                         [(k, jmax) for _, k, jmax in checkpoints], g)
+    ledgers = []
+    for (t, k, jmax), (mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup) in zip(
+            checkpoints, terms):
+        m_sum = math.fsum(mu)
+        ledgers.append(ErrorLedger(
+            n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
+            M=m_sum,
+            G=math.fsum(mu * (1.0 - c_at_g)),
+            H=math.fsum(mu * h_sup),
+            K=math.fsum(mu * (1.0 - s_at_g)),
+            delta_sum=math.fsum(delta),
+            lemma_lhs=lemma[0],
+            lemma_rhs=lemma[1],
+            sandwich_gap=abs(prod_term - math.exp(-m_sum)),
+        ))
+    return ledgers
 
 
 def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
@@ -288,23 +333,24 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
     j < k).
     """
     k = _horizon(fm, proc, pat, t)
-    (lhs, rhs) = _delta_terms(fm, window, pat, k, k, None)[2]
+    (lhs, rhs) = _delta_terms(fm, window, pat, [(k, k)], None)[0][2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 
 def verify_sandwich(xs, eps: float) -> bool:
     """Check exp(-(1+2e) sum x) <= prod(1-x) <= exp(-(1-2e) sum x) for
-    x_1..x_k in [0, eps], 0 < eps <= 1/2, within 1e-14 slack."""
+    x_1..x_k in [0, eps], 0 < eps <= 1/2, within 1e-14 slack; a 2-D ``xs``
+    holds one sequence a row, and passes when every row does."""
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
-    x = np.asarray(xs, dtype=float)
+    x = np.atleast_2d(np.asarray(xs, dtype=float))
     if x.size and (x.min() < 0.0 or x.max() > eps):
         raise ValueError("inputs must lie in [0, eps]")
-    total = math.fsum(x)
-    prod = float(np.prod(1.0 - x))
-    lower = math.exp(-(1.0 + 2.0 * eps) * total)
-    upper = math.exp(-(1.0 - 2.0 * eps) * total)
-    return lower - 1e-14 <= prod <= upper + 1e-14
+    total = np.array([math.fsum(row) for row in x])
+    prod = np.prod(1.0 - x, axis=1)
+    lower = np.exp(-(1.0 + 2.0 * eps) * total)
+    upper = np.exp(-(1.0 - 2.0 * eps) * total)
+    return bool(np.all((lower - 1e-14 <= prod) & (prod <= upper + 1e-14)))
 
 
 def gap_schedule(n: int, h0: float) -> int:

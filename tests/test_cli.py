@@ -306,8 +306,10 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
     annealed_truncated = _tiny_tree(
         experiment="annealed_shift", seeds=[4], trials=5, operation_budget=10000,
         sweep={"n": [2, 12], "t": [0.0, 2.0, 5.0]})
+    # at n=8, t=0.005 is k=1, under the gap schedule's 2, so each (8, seed)
+    # runs two gap groups; below n=8 it is k=0, truncated
     ledger = _tiny_tree(experiment="ledger", seeds=[1, 2, 3],
-                        sweep={"n": [2, 4], "t": [0.5, 1.0]})
+                        sweep={"n": [2, 4, 8], "t": [0.005, 0.5, 1.0]})
     quenched = _tiny_tree(seeds=[1, 2, 3], sweep={"n": [2, 3, 4], "t": [0.0, 1.0]})
     # a Markov base gives every word its own mu(A), so the columns of one
     # chunk have their own records and pad; at n=10, 16 seeds make two
@@ -339,7 +341,7 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
             truncated.append(manifest["truncated"])
         assert outs[0] == outs[1] == outs[2], label
         assert truncated[0] == truncated[1] == truncated[2], label
-        assert bool(truncated[0]) == (label in ("annealed_truncated",
+        assert bool(truncated[0]) == (label in ("annealed_truncated", "ledger",
                                                 "quenched_markov")), label
 
 
@@ -595,7 +597,7 @@ def test_over_budget_items_do_no_work(tmp_path, monkeypatch):
         raise AssertionError("an over-budget item reached a kernel")
     monkeypatch.setattr(experiments, "sample_window", recording)
     monkeypatch.setattr(experiments, "_windows_survival", refuse)
-    monkeypatch.setattr(experiments, "compute_ledger", refuse)
+    monkeypatch.setattr(experiments, "ledger_checkpoints", refuse)
     trees = {
         "quenched": _tiny_tree(operation_budget=4),
         "annealed": _tiny_tree(experiment="annealed_shift", trials=5,

@@ -16,7 +16,8 @@ from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           marginal_cylinder_measure)
 from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
                            estimate_entropies, gap_schedule, hits_sum,
-                           verify_recursion_bound, verify_sandwich)
+                           ledger_checkpoints, verify_recursion_bound,
+                           verify_sandwich)
 from hitlaw.survival import (_lockstep, build_automaton,
                              conditional_return_survival, full_step_matrices,
                              masked_arrival_matrices, quenched_survival)
@@ -166,6 +167,18 @@ def test_sandwich_examples_and_sweep():
         verify_sandwich([0.1], 0.6)
 
 
+def test_sandwich_checks_a_block_row_by_row():
+    # a 2-D block holds one sequence a row, drawn as the runner draws them
+    rng = make_rng(21)
+    for eps in (0.01, 0.1, 0.5):
+        block = rng.uniform(0.0, eps, size=(100, 50))
+        assert verify_sandwich(block, eps)
+        assert all(verify_sandwich(row, eps) for row in block)
+    block[7, 3] = 0.6
+    with pytest.raises(ValueError):
+        verify_sandwich(block, 0.5)
+
+
 def test_gap_schedule_values():
     assert gap_schedule(8, math.log(2.0)) == 4
     assert gap_schedule(1, 0.01) == 1   # raw floor would be 0
@@ -181,10 +194,10 @@ def test_ledger_budget(tmp_path, monkeypatch):
     # is truncated without a call
     calls = []
 
-    def recording(*args, jmax):
-        calls.append(jmax)
-        return compute_ledger(*args, jmax=jmax)
-    monkeypatch.setattr("hitlaw.experiments.compute_ledger", recording)
+    def recording(fm, window, pat, g, checkpoints):
+        calls.append(checkpoints[-1][2])   # the jmax the one sweep runs to
+        return ledger_checkpoints(fm, window, pat, g, checkpoints)
+    monkeypatch.setattr("hitlaw.experiments.ledger_checkpoints", recording)
     tree = {"experiment": "ledger", "seeds": [5], "threads": 1,
             "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
             "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
@@ -197,6 +210,18 @@ def test_ledger_budget(tmp_path, monkeypatch):
     assert over["truncated"] == ["ledger n=8 t=2.0 seed=5: needs 26301608 "
                                  "column-state reads, over the budget 26301607"]
     assert calls == [2048]
+    # t=1 (k=256, jmax=1024) is priced 6,597,288: under a budget of 10^7
+    # it finishes and t=2 gets its marker, from one sweep to t=1's jmax
+    calls.clear()
+    both = run_experiment(build_config(dict(tree, operation_budget=10**7,
+                                            sweep={"n": [8], "t": [1.0, 2.0]})),
+                          str(tmp_path / "both"))
+    assert _ledger_price(8, 256, 2, 1024) == 6597288
+    assert both["truncated"] == ["ledger n=8 t=2.0 seed=5: needs 26301608 "
+                                 "column-state reads, over the budget 10000000"]
+    assert calls == [1024]
+    rows = (tmp_path / "both" / "ledger.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:5] for row in rows] == [["1", "2", "256"]]
 
 
 def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
@@ -281,7 +306,8 @@ def _sweep_case(draw):
 def test_sweep_matches_per_offset_curves(case):
     fm, window, pat, k, g, jmax = case
     n = pat.n
-    d, s0_at_k, c_at_g, s_at_g, h = ledger._sweep_terms(fm, window, pat, k, jmax, g)
+    [(d, s0_at_k, c_at_g, s_at_g, h)] = ledger._sweep_terms(fm, window, pat,
+                                                            [(k, jmax)], g)
     S = [quenched_survival(fm, window, pat, p, jmax).values
          for p in range(k + (g or 0) + 1)]
     C = [None] + [c.values / c.values[0] for c in
@@ -308,6 +334,55 @@ def test_sweep_matches_per_offset_curves(case):
                            syms[np.newaxis, i + n + g:i + n + g + jmax], V,
                            np.arange(1, jmax + 1))[:, 0]
         assert abs(h[i - 1] - np.abs(masses - S[i + g][1:]).max()) < 1e-12
+
+
+@st.composite
+def _checkpoints_case(draw):
+    """A random model and word as in ``_sweep_case``, 1-3 checkpoints (k,
+    jmax) ascending in both, with k <= jmax, the last jmax over two sweep
+    blocks or more, and a gap at most the least k, or none."""
+    s = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    fm = random_fiber_measure(rng, s, 2)
+    window = sample_window(random_base(rng, s), draw(st.integers(0, 2**32 - 1)), 1)
+    pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
+    block = ledger._SWEEP_BLOCK
+    ks = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    jmaxes = sorted([draw(st.integers(k, 3 * block)) for k in ks[:-1]]
+                    + [draw(st.integers(block + 1, 3 * block))])
+    g = draw(st.none() | st.integers(1, ks[0]))
+    return fm, window, pat, list(zip(ks, jmaxes)), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_checkpoints_case())
+def test_sweep_checkpoints_match_their_own_sweeps(case):
+    # one sweep at the last checkpoint reads every earlier one bit for bit
+    # as that checkpoint's own sweep
+    fm, window, pat, checkpoints, g = case
+    together = ledger._sweep_terms(fm, window, pat, checkpoints, g)
+    assert len(together) == len(checkpoints)
+    for checkpoint, terms in zip(checkpoints, together):
+        [alone] = ledger._sweep_terms(fm, window, pat, [checkpoint], g)
+        for got, want in zip(terms, alone):
+            assert (got is None and want is None) or np.array_equal(got, want), \
+                checkpoint
+
+
+def test_sweep_checkpoint_whose_own_sweep_ends_on_a_one_coordinate_block():
+    # k + g + jmax = 33 puts the lone sweep's last block at one coordinate;
+    # a one-row product there would go through gemv, and on this model it
+    # rounds otherwise than the same row inside a longer block
+    rng = make_rng([5, 2064])
+    s, n = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+    fm = random_fiber_measure(rng, s, 2)
+    window = sample_window(random_base(rng, s), [9, 2064], 1)
+    pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
+    together = ledger._sweep_terms(fm, window, pat, [(3, 27), (24, 64)], 3)
+    [alone] = ledger._sweep_terms(fm, window, pat, [(3, 27)], 3)
+    for got, want in zip(together[0], alone):
+        assert np.array_equal(got, want)
 
 
 def test_hits_sum_and_entrance_sum_match_public_ops(coin_pair):
