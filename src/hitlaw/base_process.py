@@ -134,8 +134,8 @@ class BaseProcess:
         (as an array and as tuples), and whether it pins."""
         cum = np.cumsum(self.transition, axis=1)
         cum[:, -1] = 1.0   # so that no draw u < 1 falls past a row's end
-        breaks = np.unique(cum[:, :-1])
-        breaks = breaks[breaks < 1.0]
+        # sorted by hand: a plain np.unique imports numpy.ma
+        breaks = np.array(sorted({c for c in cum[:, :-1].ravel().tolist() if c < 1.0}))
         grid = np.arange(_CELL_BINS + 1) / _CELL_BINS
         lo_cell = breaks.searchsorted(grid[:-1], side="right")
         bins = np.where(lo_cell == breaks.searchsorted(grid[1:]), lo_cell, -1)
@@ -154,6 +154,10 @@ class _WindowBuffer:
     Extension draws from the stored generator, so it is deterministic for a
     given seed and independent of how the extensions are interleaved.
     Symbols are kept in the smallest unsigned dtype that holds the alphabet.
+
+    A Bernoulli symbol counts the cdf entries at or below its uniform, one
+    comparison pass per breakpoint: the last entry is 1 > u, so this is the
+    searchsorted(side="right") of ``rng.choice``, ties included.
 
     A Markov extension draws one uniform per symbol at once and walks them
     in blocks of ``_DRAW_BLOCK`` steps.  The transition rows' breakpoints cut
@@ -189,7 +193,10 @@ class _WindowBuffer:
             return
         u = self.rng.random(extra)
         if self.proc.kind == "bernoulli":
-            block = self._cdf.searchsorted(u, side="right")
+            first, *rest = self._cdf[:-1].tolist()
+            block = (u >= first).astype(self.symbols.dtype)
+            for c in rest:
+                block += u >= c
         else:
             block = np.empty(extra, dtype=self.symbols.dtype)
             if self.symbols.size:

@@ -130,8 +130,11 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
         stats[key][sub] = item_stat
     per_key, fitted = {}, []
     for key, x in zip(keys, xs):
-        values = list(stats[key].values())
-        median = float(np.median(values)) if values else float("nan")
+        values = sorted(stats[key].values())
+        # np.median's (a + b) / 2 of the middle pair, which is the one middle
+        # value for an odd count, without the numpy.ma import np.median costs
+        mid = len(values) // 2
+        median = float(values[mid] + values[~mid]) / 2 if values else float("nan")
         per_key[label(key)] = {stat: stats[key], f"median_{stat}": median}
         if values:
             fitted.append((x, median))
@@ -422,10 +425,15 @@ def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
         if kind == "csv":
             header, rows = payload
             # floats in round-trip form; no field holds a comma, quote or
-            # newline, so no field needs CSV quoting
-            lines = [",".join(header)]
-            lines += [",".join([format(v, ".17g") if isinstance(v, (float, np.floating))
-                                else str(v) for v in row]) for row in rows]
+            # newline, so no field needs CSV quoting.  One %-format per tuple
+            # of value types formats a whole row.
+            lines, fmts = [",".join(header)], {}
+            for row in rows:
+                types = tuple(map(type, row))
+                if types not in fmts:
+                    fmts[types] = ",".join("%.17g" if issubclass(t, (float, np.floating))
+                                           else "%s" for t in types)
+                lines.append(fmts[types] % row)
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:

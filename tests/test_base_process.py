@@ -145,6 +145,25 @@ class _PresetRng:
         return np.asarray(out)
 
 
+@pytest.mark.parametrize("weights", [
+    [0.3, 0.7],
+    [0.2, 0.7, 0.1],   # cumsum ends at 1 - 2**-53, so the cdf is rescaled
+    [0.1, 0.2, 0.7],   # cumsum's second entry rounds to 0.30000000000000004
+    [0.1, 0.1, 0.15, 0.3, 0.35],
+])
+def test_bernoulli_draws_on_the_cdf_entries_are_those_of_searchsorted(weights):
+    # a uniform exactly on a cdf entry, or one double either side of it, at
+    # 0.0 and at the largest double below 1 gets searchsorted's symbol
+    proc = BaseProcess.bernoulli(weights)
+    cdf = _WindowBuffer(proc, _PresetRng([]), 0)._cdf
+    draws = [0.0, np.nextafter(1.0, 0.0)]
+    for c in cdf[:-1].tolist():
+        draws += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    buf = _WindowBuffer(proc, _PresetRng(draws), len(draws))
+    assert buf.symbols.tolist() == cdf.searchsorted(draws, side="right").tolist()
+    assert buf.symbols.tolist()[:2] == [0, len(weights) - 1]
+
+
 @pytest.mark.parametrize("proc, draws, want", [
     # transition row 0 sums to 1 - 5e-13, within the stochasticity check
     (BaseProcess.markov([[0.6, 0.4 - 5e-13], [0.4, 0.6]]),

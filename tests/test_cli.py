@@ -6,6 +6,8 @@ import json
 import os
 import re
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,10 +16,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hitlaw
 from hitlaw.base_process import sample_window
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
-from hitlaw.experiments import KINDS, _draw_pattern, run_experiment, write_artifacts
+from hitlaw.experiments import (KINDS, _draw_pattern, _sweep_report, run_experiment,
+                                write_artifacts)
 from hitlaw.survival import rescaled_survival
 
 
@@ -409,8 +413,12 @@ def test_csv_values_keep_the_bytes_csv_writer_wrote(tmp_path):
     # CSV lines are joined by hand; csv.writer, which wrote them before,
     # is the oracle, and the bytes are pinned as well
     header = ("a", "b", "c", "d", "e", "f")
+    # a row is formatted by the value types it holds, and the types change
+    # from row to row: int then float, np.float64 then float, a bool
     rows = [(3, np.int64(-7), 0.1, np.float64(1 / 3), float("nan"), float("inf")),
-            (0, np.int64(2**40), -0.0, np.float64(-1e-300), np.float64("nan"), -np.inf)]
+            (0, np.int64(2**40), -0.0, np.float64(-1e-300), np.float64("nan"), -np.inf),
+            (2.5, 7, np.float64(0.1), 1 / 3, False, np.float64("inf")),
+            (np.int64(5), True, -0.0, np.float64(-0.0), 1e300, float("nan"))]
     write_artifacts(build_config(_tiny_tree()), {"x.csv": ("csv", header, rows)}, [],
                     str(tmp_path))
     old = io.StringIO()
@@ -421,7 +429,25 @@ def test_csv_values_keep_the_bytes_csv_writer_wrote(tmp_path):
     assert got == old.getvalue().encode()
     assert got == (b"a,b,c,d,e,f\n"
                    b"3,-7,0.10000000000000001,0.33333333333333331,nan,inf\n"
-                   b"0,1099511627776,-0,-1e-300,nan,-inf\n")
+                   b"0,1099511627776,-0,-1e-300,nan,-inf\n"
+                   b"2.5,7,0.10000000000000001,0.33333333333333331,False,inf\n"
+                   b"5,True,-0,-0,1.0000000000000001e+300,nan\n")
+
+
+@pytest.mark.parametrize("values, want", [
+    ([0.25], 0.25),
+    ([0.3, 0.1, 0.2], 0.2),
+    # (0.1 + 0.7) / 2 rounds to 0.39999999999999997, not to 0.4
+    ([5.0, 0.7, 0.05, 0.1], 0.39999999999999997),
+    ([0.7, 0.1], 0.39999999999999997),
+])
+def test_sweep_report_median_is_numpys(values, want):
+    done = [((2, i), ([("row", i)], v)) for i, v in enumerate(values)]
+    rows, report = _sweep_report(done, [2], [2.0], "per_n", str, "sup_abs_err")
+    assert rows == {2: [("row", i) for i in range(len(values))]}
+    median = report["per_n"]["2"]["median_sup_abs_err"]
+    assert median == float(np.median(values)) == want
+    assert type(median) is float
 
 
 def _reject_constant(name):
@@ -471,6 +497,60 @@ _CIRCLE = {
     "circle": {"multipliers": [2, 3]},
     "sweep": {"t": [0.0, 0.5, 1.0], "r": [0.05]},
 }
+
+_MARKOV = {"kind": "markov", "transition": [[0.7, 0.3], [0.4, 0.6]]}
+
+# one tiny tree per kind, on a Markov base where the kind allows one (a
+# singularity run needs the fair coin, a circle run draws its own bits)
+_GUARD_TREES = [
+    _tiny_tree(base=_MARKOV, sweep={"n": [3, 4], "t": [0.0, 1.0]}),
+    _tiny_tree(experiment="annealed_shift", trials=3, base=_MARKOV),
+    _tiny_tree(experiment="ledger", base=_MARKOV, sweep={"n": [2, 3], "t": [0.5, 1.0]}),
+    _tiny_tree(experiment="entropy", trials=5, base=_MARKOV, sweep={"n": [4]}),
+    dict(_CIRCLE, seeds=[1, 2], sweep={"t": [0.0, 1.0], "r": [0.2, 0.1, 0.05]}),
+    _tiny_tree(experiment="singularity", trials=3, sweep={"n": [10]}),
+]
+
+
+def _fresh_python(code: str):
+    """What ``code``, run in a fresh interpreter, prints as JSON."""
+    src = os.path.dirname(os.path.dirname(hitlaw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_a_run_of_each_kind_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 7.5-10 ms in a fresh interpreter, and a plain np.unique
+    # or np.median imports it; no run needs a masked array
+    assert [tree["experiment"] for tree in _GUARD_TREES] == list(EXPERIMENT_KINDS)
+    got = _fresh_python(f"""if True:
+        import json, sys
+        from hitlaw.config import build_config
+        from hitlaw.experiments import run_experiment
+        loaded = []
+        for i, tree in enumerate({_GUARD_TREES!r}):
+            run_experiment(build_config(tree), {str(tmp_path)!r} + f"/{{i}}")
+            if "numpy.ma" in sys.modules:
+                loaded.append(tree["experiment"])
+        print(json.dumps({{"ma_after": loaded}}))
+        """)
+    assert got == {"ma_after": []}
+    assert len(os.listdir(tmp_path)) == len(EXPERIMENT_KINDS)
+
+
+def test_importing_the_program_leaves_numpy_random_unloaded():
+    # the generator is imported where the first noise is drawn, so its cost
+    # stays out of set-up
+    got = _fresh_python("""if True:
+        import json, sys
+        import hitlaw.cli, hitlaw.experiments
+        print(json.dumps([m for m in ("numpy.random", "numpy.ma") if m in sys.modules]))
+        """)
+    assert got == []
+
 
 # Each tree breaks one rule that a run depends on; the key that names it.
 _BAD_TREES = {
