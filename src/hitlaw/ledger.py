@@ -8,8 +8,9 @@ RETURN mass (K).  Everything here is computed exactly from the automaton
 recursion of :mod:`hitlaw.survival`, batched across the k offsets, with
 compensated summation for the long accumulations.  The recursions of all
 offsets advance in one sweep over absolute noise coordinate (``_sweep``),
-where every live recursion shares each coordinate's matrix; one sweep at
-the largest of several (k, jmax) checkpoints of one word, window and gap
+where every live recursion shares each coordinate's matrix and the
+backward chains of a chunk of blocks advance together; one sweep at the
+largest of several (k, jmax) checkpoints of one word, window and gap
 reads every smaller one at its own cutoffs (``ledger_checkpoints``).
 
 The suprema defining delta and H run over all j >= 1 in principle; they are
@@ -36,6 +37,8 @@ from .survival import (_lockstep, _scan_hitting, build_automaton,
 _TOL = 1e-12
 # Coordinates per block of the ledger sweep: 32 ran faster than 8 or 16.
 _SWEEP_BLOCK = 32
+# OpenBLAS runs a gemm of m n k <= 2^18 on one thread; so do the sweep's chains
+_CHAIN_GEMM = 2**18
 
 
 @dataclass(frozen=True)
@@ -91,45 +94,65 @@ def _sweep(mats: np.ndarray, symbols: np.ndarray, first: int, entry: np.ndarray,
     ``jmax`` coordinates, x applying ``mats[symbols[x]]`` to every live
     column.  Per block of coordinates a .. a+L-1, yields (a, lo, masses):
     ``masses[f, l, p - lo]`` is column (p, f)'s mass after coordinate a + l,
-    0 outside its reads.  A block is one backward chain of L small products
-    (step e: the rows 1^T T_l ... T_e, zero for l < e, over the suffix
-    T_{L-1} ... T_e, T_l the matrix of a + l), one (L, states) @ (states,
-    columns) product for the columns live at a, and one batched product
-    for those entering later.  The first product never has one row, which
-    numpy would hand to gemv, rounding otherwise than gemm: a column's
-    masses then do not depend on where the sweep stops (at up to about 200
-    product columns; wider, BLAS may round a last bit otherwise at some
-    widths)."""
+    0 outside its reads.  A block's backward chain holds at step e the rows
+    1^T T_l ... T_e, zero for l < e, over the suffix T_{L-1} ... T_e, T_l
+    the matrix of a + l.  A chunk's chains advance together, one stacked
+    product per symbol and step (identity steps pad a ragged last block,
+    exactly); columns entering at e take theirs in one batched product.
+    Per block, one (L, states) @ (states, columns) product gives the masses
+    of the columns live at a; it never has one row, which numpy would hand
+    to gemv, rounding otherwise than gemm: a column's masses then do not
+    depend on where the sweep stops (at up to about 200 product columns;
+    wider, BLAS may round a last bit otherwise at some widths)."""
     columns, families, states = entry.shape
     V = np.zeros_like(entry)
+    mats = np.concatenate([mats, np.eye(states)[np.newaxis]])
     ones_T = mats.sum(axis=1)   # 1^T T per matrix
     stop = first + columns - 1 + jmax   # one past the last coordinate read
-    for a in range(first, stop, _SWEEP_BLOCK):
-        L = min(_SWEEP_BLOCK, stop - a)
-        T, ones = list(mats[symbols[a:a + L]]), list(ones_T[symbols[a:a + L]])
-        chain = np.zeros((L + 1, L + states, states))
-        chain[L, L:] = np.eye(states)
-        steps = list(chain)   # views, to skip indexing in the loop
-        for e in range(L - 1, -1, -1):
-            np.dot(steps[e + 1], T[e], out=steps[e])
-            steps[e][e] = ones[e]
-        # live at a: lo .. mid-1; entering at coordinate first + p: mid .. hi-1
-        lo = min(max(a - first - jmax + 1, 0), columns)
-        mid, hi = min(a - first, columns), min(a + L - first, columns)
-        live = V[lo:mid].reshape(-1, states)
-        entering = (chain[first - a + np.arange(mid, hi)]
-                    @ entry[mid:hi].transpose(0, 2, 1))
-        masses = np.empty((families, L, hi - lo))
-        # two rows at least: numpy hands a one-row product to gemv
-        masses[:, :, :mid - lo] = (chain[0, :max(L, 2)] @ live.T)[:L].reshape(
-            L, mid - lo, families).transpose(2, 0, 1)
-        masses[:, :, mid - lo:] = entering[:, :L].transpose(2, 1, 0)
-        # zero past each column's last read; only the first L columns have any
-        past = np.arange(L)[:, np.newaxis] + a - first - np.arange(lo, hi)[:L] >= jmax
-        masses[:, :, :L][:, past] = 0.0
-        V[lo:mid] = (live @ chain[0, L:].T).reshape(mid - lo, families, states)
-        V[mid:hi] = entering[:, L:].transpose(0, 2, 1)
-        yield a, lo, masses
+    B = _SWEEP_BLOCK
+    blocks = -(-(stop - first) // B)
+    codes = np.full((blocks, B), len(mats) - 1)   # the last symbol is the pad
+    codes.flat[:stop - first] = symbols[first:stop]
+    chunks = -(-blocks // max(1, _CHAIN_GEMM // ((B + states) * states**2)))
+    size = -(-blocks // chunks)
+    for b0 in range(0, blocks, size):
+        code = codes[b0:b0 + size]
+        chain = np.tile(np.eye(B + states, states, -B), (len(code), 1, 1))
+        step = np.empty_like(chain)
+        # column p0 + i enters at position i % B of the chunk's block i // B
+        p0, p1 = min(b0 * B, columns), min((b0 + len(code)) * B, columns)
+        entering = np.empty((p1 - p0, B + states, families))
+        # at step e, the blocks reading symbol c are order[e, ends[e][c-1]:ends[e][c]]
+        order = np.argsort(code.T, axis=1, kind="stable")
+        ends = (code.T[:, :, np.newaxis] <= np.arange(len(mats))).sum(axis=1).tolist()
+        for e in range(B - 1, -1, -1):
+            for T, lo_c, hi_c in zip(mats, [0] + ends[e], ends[e]):
+                if lo_c < hi_c:
+                    rows = order[e, lo_c:hi_c]
+                    step[rows] = (chain[rows].reshape(-1, states) @ T).reshape(
+                        -1, B + states, states)
+            step[:, e] = ones_T[code[:, e]]
+            chain, step = step, chain
+            if e < p1 - p0:
+                entering[e::B] = (chain[:len(range(e, p1 - p0, B))]
+                                  @ entry[p0 + e:p1:B].transpose(0, 2, 1))
+        for a, chain0 in zip(range(first + b0 * B, stop, B), chain):
+            L = min(B, stop - a)
+            # live at a: lo .. mid-1; entering at coordinate first + p: mid .. hi-1
+            lo = min(max(a - first - jmax + 1, 0), columns)
+            mid, hi = min(a - first, columns), min(a + L - first, columns)
+            live = V[lo:mid].reshape(-1, states)
+            masses = np.empty((families, L, hi - lo))
+            # two rows at least: numpy hands a one-row product to gemv
+            masses[:, :, :mid - lo] = (chain0[:max(L, 2)] @ live.T)[:L].reshape(
+                L, mid - lo, families).transpose(2, 0, 1)
+            masses[:, :, mid - lo:] = entering[mid - p0:hi - p0, :L].transpose(2, 1, 0)
+            # zero past each column's last read; only the first L columns have any
+            past = np.arange(L)[:, np.newaxis] + a - first - np.arange(lo, hi)[:L] >= jmax
+            masses[:, :, :L][:, past] = 0.0
+            V[lo:mid] = (live @ chain0[B:].T).reshape(mid - lo, families, states)
+            V[mid:hi] = entering[mid - p0:hi - p0, B:].transpose(0, 2, 1)
+            yield a, lo, masses
 
 
 def _ledger_price(n: int, k: int, g: int, jmax: int) -> int:

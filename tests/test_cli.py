@@ -1,6 +1,8 @@
 import copy
 import csv
+import ctypes
 import datetime
+import glob
 import io
 import json
 import os
@@ -20,8 +22,8 @@ import hitlaw
 from hitlaw.base_process import sample_window
 from hitlaw.cli import main
 from hitlaw.config import EXPERIMENT_KINDS, build_config, validate
-from hitlaw.experiments import (KINDS, _draw_pattern, _sweep_report, run_experiment,
-                                write_artifacts)
+from hitlaw.experiments import (KINDS, _draw_pattern, _parallel_map, _sweep_report,
+                                run_experiment, write_artifacts)
 from hitlaw.survival import rescaled_survival
 
 
@@ -323,6 +325,13 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
         seeds=list(range(1, 17)), operation_budget=53_000,
         base={"kind": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
         sweep={"n": [4, 10], "t": [0.0, 1.0, 2.5, 5.0]})
+    # at n=10 and t=0.5 (k=512, jmax=2048) the ledger sweep runs its 81
+    # blocks in two chunks, and its live product passes OpenBLAS's
+    # threading threshold, so a pooled run differs from an in-process one
+    # in how many BLAS threads each product gets
+    ledger_n10 = _tiny_tree(experiment="ledger", seeds=[1, 2, 3, 4],
+                            ledger={"jmax_factor": 4},
+                            sweep={"n": [10], "t": [0.25, 0.5]})
     entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=10,
                          sweep={"n": [4, 6]})
     singularity = _tiny_tree(experiment="singularity", seeds=[3], trials=7,
@@ -331,7 +340,8 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path):
                   sweep={"t": [0.0, 0.5, 1.0], "r": [0.2, 0.1, 0.05]})
     for label, tree in (("annealed", annealed),
                         ("annealed_truncated", annealed_truncated),
-                        ("ledger", ledger), ("quenched", quenched),
+                        ("ledger", ledger), ("ledger_n10", ledger_n10),
+                        ("quenched", quenched),
                         ("quenched_markov", quenched_markov),
                         ("entropy", entropy), ("singularity", singularity),
                         ("circle", circle)):
@@ -550,6 +560,53 @@ def test_importing_the_program_leaves_numpy_random_unloaded():
         print(json.dumps([m for m in ("numpy.random", "numpy.ma") if m in sys.modules]))
         """)
     assert got == []
+
+
+def test_a_pooled_ledger_run_leaves_numpy_random_unloaded_in_the_parent(tmp_path):
+    # the sandwich check draws its sequences in a worker, so a run on two
+    # workers imports the generator in its workers only
+    tree = _tiny_tree(experiment="ledger", threads=2, sweep={"n": [2, 3], "t": [0.5]})
+    got = _fresh_python(f"""if True:
+        import json, sys
+        from hitlaw.config import build_config
+        from hitlaw.experiments import run_experiment
+        run_experiment(build_config({tree!r}), {str(tmp_path)!r})
+        print(json.dumps("numpy.random" in sys.modules))
+        """)
+    assert got is False
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["sandwich_sweep_ok"] is True and report["rows"] == 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_sandwich_check_reads_false(tmp_path, monkeypatch, threads):
+    # forked workers inherit the patch
+    monkeypatch.setattr("hitlaw.experiments.verify_sandwich", lambda xs, eps: False)
+    tree = _tiny_tree(experiment="ledger", threads=threads,
+                      sweep={"n": [2, 3], "t": [0.5]})
+    run_experiment(build_config(tree), str(tmp_path))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["sandwich_sweep_ok"] is False and report["rows"] == 4
+
+
+def _blas_threads(_):
+    """The thread count of the OpenBLAS that numpy loaded, read through the
+    get entry point matching the set one that the pool initializer calls,
+    and the threads the process runs."""
+    [path] = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                    "numpy.libs", "*openblas*"))
+    get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads(), len(os.listdir("/proc/self/task"))
+
+
+def test_pool_workers_run_blas_on_one_thread():
+    # a forked worker would otherwise keep the parent's count, one thread a
+    # core; the thread server that setting the count starts is stopped, so
+    # no idle BLAS thread spins in a worker, and the parent keeps its count
+    parent = _blas_threads(None)[0]
+    assert _parallel_map(_blas_threads, [0, 1, 2], 2) == [(1, 1)] * 3
+    assert _blas_threads(None)[0] == parent
 
 
 # Each tree breaks one rule that a run depends on; the key that names it.

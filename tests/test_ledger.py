@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_enum
@@ -281,6 +282,69 @@ def test_sweep_masses_match_a_read_by_read_loop(families, states, columns, jmax,
         for j in range(1, jmax + 1):
             v = mats[symbols[first + p + j - 1]] @ v
             assert np.max(np.abs(got[p, :, j] - v.sum(axis=0))) < 1e-12
+
+
+def _per_block_sweep(mats, symbols, first, entry, jmax):
+    """Reference for ``ledger._sweep``: the same yields, each block's
+    backward chain run on its own, one product per coordinate."""
+    columns, families, states = entry.shape
+    V = np.zeros_like(entry)
+    ones_T = mats.sum(axis=1)
+    stop = first + columns - 1 + jmax
+    for a in range(first, stop, ledger._SWEEP_BLOCK):
+        L = min(ledger._SWEEP_BLOCK, stop - a)
+        T, ones = list(mats[symbols[a:a + L]]), list(ones_T[symbols[a:a + L]])
+        chain = np.zeros((L + 1, L + states, states))
+        chain[L, L:] = np.eye(states)
+        steps = list(chain)
+        for e in range(L - 1, -1, -1):
+            np.dot(steps[e + 1], T[e], out=steps[e])
+            steps[e][e] = ones[e]
+        lo = min(max(a - first - jmax + 1, 0), columns)
+        mid, hi = min(a - first, columns), min(a + L - first, columns)
+        live = V[lo:mid].reshape(-1, states)
+        entering = (chain[first - a + np.arange(mid, hi)]
+                    @ entry[mid:hi].transpose(0, 2, 1))
+        masses = np.empty((families, L, hi - lo))
+        masses[:, :, :mid - lo] = (chain[0, :max(L, 2)] @ live.T)[:L].reshape(
+            L, mid - lo, families).transpose(2, 0, 1)
+        masses[:, :, mid - lo:] = entering[:, :L].transpose(2, 1, 0)
+        past = np.arange(L)[:, np.newaxis] + a - first - np.arange(lo, hi)[:L] >= jmax
+        masses[:, :, :L][:, past] = 0.0
+        V[lo:mid] = (live @ chain[0, L:].T).reshape(mid - lo, families, states)
+        V[mid:hi] = entering[:, L:].transpose(0, 2, 1)
+        yield a, lo, masses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 9), st.integers(2, 3), st.integers(1, 200),
+       st.integers(1, 300), st.sampled_from([1, 2, 3, None]),
+       st.integers(0, 2**32 - 1))
+# one block; a ragged last block with columns entering across the edge of
+# one-block chunks; a chunk edge inside the entering columns of 3-block chunks
+@example(2, 3, 2, 1, 1, 1, 0)
+@example(3, 9, 3, 70, 20, 1, 1)
+@example(2, 5, 3, 200, 40, 3, 2)
+def test_chained_sweep_matches_the_per_block_chains(symbols, states, families,
+                                                    columns, jmax, per_chunk, seed):
+    # the chains of a chunk advance together, one stacked product per
+    # symbol and step, bit for bit as each block's own chain; chunks of
+    # 1, 2 or 3 blocks, or of every block
+    rng = make_rng(seed)
+    mats = rng.random((symbols, states, states))
+    mats /= mats.sum(axis=1, keepdims=True) * rng.uniform(1.0, 1.2, (symbols, 1, states))
+    first = int(rng.integers(0, 5))
+    noise = rng.integers(0, symbols, size=first + columns + jmax)
+    entry = rng.random((columns, families, states))
+    blocks = -(-(columns - 1 + jmax) // ledger._SWEEP_BLOCK)
+    gemm = (per_chunk or blocks) * (ledger._SWEEP_BLOCK + states) * states**2
+    with mock.patch.object(ledger, "_CHAIN_GEMM", gemm):
+        got = list(ledger._sweep(mats, noise, first, entry, jmax))
+    want = list(_per_block_sweep(mats, noise, first, entry, jmax))
+    assert len(got) == len(want) == blocks
+    for (a, lo, masses), (a_want, lo_want, masses_want) in zip(got, want):
+        assert (a, lo) == (a_want, lo_want)
+        assert np.array_equal(masses, masses_want), a
 
 
 @st.composite
