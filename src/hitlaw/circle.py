@@ -40,6 +40,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,8 +284,7 @@ def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
     return taus
 
 
-@dataclass(frozen=True)
-class CircleLawResult:
+class CircleLawResult(NamedTuple):
     """Empirical rescaled hitting-time survival against exp(-t)."""
 
     radius: float

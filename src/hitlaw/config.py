@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-import yaml
 
 from .base_process import BaseProcess
 from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS
@@ -67,6 +66,7 @@ class ExperimentConfig:
 
 
 def load_tree(path: str) -> dict:
+    import yaml   # only a file needs its parser; a caller with a tree skips it
     with open(path, "r", encoding="utf-8") as fh:
         tree = yaml.safe_load(fh)
     if not isinstance(tree, dict):

@@ -63,7 +63,8 @@ def _workers(threads: int) -> int:
 def _one_blas_thread():
     """Pool initializer: a worker runs numpy's OpenBLAS, if any, on one
     thread, as the workers share out the cores; setting the count starts a
-    thread server whose idle thread would spin a core for 0.1 s, so stop it."""
+    thread server whose idle thread would spin a core for 0.1 s, so stop it.
+    A run in one process never calls it, so the caller's count stands."""
     libs = os.path.join(np.__path__[0], os.pardir, "numpy.libs")
     for name in os.listdir(libs) if os.path.isdir(libs) else ():
         lib = "openblas" in name and ctypes.CDLL(os.path.join(libs, name))
@@ -75,7 +76,8 @@ def _one_blas_thread():
 
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; thread count never changes the results, only
-    how they are computed."""
+    how they are computed.  One worker or one item runs in this process,
+    with OpenBLAS at whatever thread count the caller's process has."""
     threads = _workers(threads)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +133,7 @@ def marginal_cylinder_measure(fm: FiberMeasure, proc: BaseProcess, pat: Pattern)
     return float(v.sum())
 
 
-@dataclass(frozen=True)
-class DensityRatio:
+class DensityRatio(NamedTuple):
     """Fiber-to-marginal cylinder ratio for one (noise window, word) pair."""
 
     ratio: float

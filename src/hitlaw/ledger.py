@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,8 +387,7 @@ def gap_schedule(n: int, h0: float) -> int:
     return max(1, math.floor(math.exp(h0 * n / 4.0)))
 
 
-@dataclass(frozen=True)
-class EntropyEstimates:
+class EntropyEstimates(NamedTuple):
     """Per-n entropy slopes from cylinder decay and from return times.
 
     smb_slopes[n] holds -(1/n) log mu_omega(n-cylinder of x) samples,

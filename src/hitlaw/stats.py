@@ -9,7 +9,7 @@ finite experiments cannot take.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ def ks_to_exponential(observed, t_grid) -> float:
     return float(np.max(np.abs(observed - np.exp(-t))))
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     """Monotonicity verdict and a log-scale slope for a short value grid."""
 
     xs: np.ndarray

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,7 @@ from .fiber import (FiberMeasure, Pattern, _check_compatible,
 from .stats import _check_t_grid
 
 
-@dataclass(frozen=True)
-class PatternAutomaton:
+class PatternAutomaton(NamedTuple):
     """Border automaton of a word: state = length of the longest suffix of
     the text read so far that is a prefix of the word; state n means the
     word just ended here.
@@ -276,8 +276,7 @@ def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Patte
     return SurvivalCurve(k_grid=grid, values=values)
 
 
-@dataclass(frozen=True)
-class RescaledCurve:
+class RescaledCurve(NamedTuple):
     """Quenched survival viewed on the rescaled time grid t = k * mu(A)."""
 
     t_grid: np.ndarray

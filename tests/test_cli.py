@@ -552,14 +552,28 @@ def test_a_run_of_each_kind_never_imports_numpy_ma(tmp_path):
 
 
 def test_importing_the_program_leaves_numpy_random_unloaded():
-    # the generator is imported where the first noise is drawn, so its cost
-    # stays out of set-up
+    # the generator is imported where the first noise is drawn, and the yaml
+    # parser where a file is read, so their costs stay out of set-up
     got = _fresh_python("""if True:
         import json, sys
         import hitlaw.cli, hitlaw.experiments
-        print(json.dumps([m for m in ("numpy.random", "numpy.ma") if m in sys.modules]))
+        print(json.dumps([m for m in ("numpy.random", "numpy.ma", "yaml")
+                          if m in sys.modules]))
         """)
     assert got == []
+
+
+def test_the_runner_binds_each_layer_function_it_calls_at_import():
+    # perfbench/spans.py wraps the layer functions it finds in this
+    # namespace before a config is built; a name imported later, inside a
+    # runner or a worker, would escape its span and read 0 in the trace
+    from hitlaw import base_process, circle, experiments, fiber, ledger, stats
+    owners = {"sample_window": base_process, "quenched_law_statistic": circle,
+              "ledger_checkpoints": ledger, "marginal_cylinder_measure": fiber,
+              "ks_to_exponential": stats}
+    namespace = vars(experiments)
+    for name, owner in owners.items():
+        assert namespace.get(name) is vars(owner)[name], name
 
 
 def test_a_pooled_ledger_run_leaves_numpy_random_unloaded_in_the_parent(tmp_path):

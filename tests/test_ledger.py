@@ -15,8 +15,8 @@ from hitlaw.config import build_config
 from hitlaw.experiments import _over_budget, run_experiment
 from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           marginal_cylinder_measure)
-from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
-                           estimate_entropies, gap_schedule, hits_sum,
+from hitlaw.ledger import (EntropyEstimates, _ledger_price, compute_ledger,
+                           entrance_sum, estimate_entropies, gap_schedule, hits_sum,
                            ledger_checkpoints, verify_recursion_bound,
                            verify_sandwich)
 from hitlaw.survival import (_lockstep, build_automaton,
@@ -525,3 +525,11 @@ def test_estimate_entropies_binary(coin_pair):
     for n in est.n_values:
         assert est.smb_slopes[n].min() >= est.h0 - 1e-12
     assert not est.widened_uncertainty
+
+
+def test_entropy_estimates_default_to_narrow_and_average_return_slopes():
+    est = EntropyEstimates(n_values=(2, 3), smb_slopes={}, censored={},
+                           ow_slopes={2: np.array([0.5, 1.0]), 3: np.array([])},
+                           h_hat=0.6, h0=0.4)
+    assert est.widened_uncertainty is False
+    assert est.ow_mean(2) == 0.75 and math.isnan(est.ow_mean(3))

@@ -23,6 +23,7 @@ def test_automaton_hand_transitions():
     assert aut.delta[1, 0] == 2
     assert aut.delta[1, 1] == 0
     assert aut.border == 1
+    assert (aut.n, aut.b) == (2, 2)
     aut = build_automaton(Pattern((0, 1), 2))
     assert aut.delta[1, 0] == 1   # failed match keeps the fresh '0'
     assert aut.delta[1, 1] == 2
