@@ -168,7 +168,8 @@ class _WindowBuffer:
     its symbol outright.  The unpinned steps form runs, each starting from
     the symbol before it; every live run advances one step per vectorized
     round, and once fewer than ``_RUN_HANDOFF`` are live their tails are
-    walked one symbol at a time.  The symbols are those of one searchsorted
+    walked one symbol at a time, as is a whole block shorter than
+    ``_RUN_HANDOFF`` steps.  The symbols are those of one searchsorted
     per step, however the draws are split into reads or blocks.
     """
 
@@ -213,6 +214,9 @@ class _WindowBuffer:
     def _walk(self, u: np.ndarray, state: int) -> np.ndarray:
         """The chain's symbols for the uniforms ``u``, after ``state``."""
         breaks, bins, step, pinned, maps = self.proc._chain_steps
+        if u.size < _RUN_HANDOFF:
+            return np.array([state := maps[c][state] for c in breaks.searchsorted(
+                u, side="right").tolist()], dtype=step.dtype)
         cell = bins[(u * _CELL_BINS).astype(np.intp)]
         split = (cell < 0).nonzero()[0]
         cell[split] = breaks.searchsorted(u[split], side="right")

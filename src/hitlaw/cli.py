@@ -62,7 +62,9 @@ def main(argv=None) -> int:
               file=sys.stderr if args.command == "run" else sys.stdout)
         return 1 if problems else 0
     try:
-        from .experiments import run_experiment
+        from .experiments import _one_blas_thread, _workers, run_experiment
+        if _workers(cfg.threads) == 1:
+            _one_blas_thread()   # as a forked worker does; no thread server spins
         out_dir = args.out or cfg.output_dir or "out"
         manifest = run_experiment(cfg, out_dir)
     except Exception:

@@ -7,7 +7,9 @@ work items as tuples ``(cfg, *key)`` in a fixed order; the top-level
 each ``("ok", key, payload)`` or ``("truncated", marker)``; ``reduce(cfg,
 done)`` builds the CSV rows and JSON report from the finished outcomes'
 ``(key, payload)`` pairs, in item order.  ``run_experiment`` dispatches all
-items of a run at once.  Workers never share state and results are merged
+items of a run at once to directly forked workers (``_parallel_map``), which
+inherit the items and claim their indices from shared memory; there is no
+process pool.  Workers share nothing but that index, and results are merged
 in item order, so the emitted bytes do not depend on the worker count.
 Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
@@ -28,8 +30,12 @@ import hashlib
 import itertools
 import json
 import math
+import mmap
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import select
+import signal
+import traceback
 
 import numpy as np
 
@@ -61,10 +67,11 @@ def _workers(threads: int) -> int:
 
 
 def _one_blas_thread():
-    """Pool initializer: a worker runs numpy's OpenBLAS, if any, on one
-    thread, as the workers share out the cores; setting the count starts a
-    thread server whose idle thread would spin a core for 0.1 s, so stop it.
-    A run in one process never calls it, so the caller's count stands."""
+    """A forked worker runs numpy's OpenBLAS, if any, on one thread, as the
+    workers share out the cores; setting the count starts a thread server
+    whose idle thread would spin a core for 0.1 s, so stop it.  The CLI
+    calls it for a one-worker run too; ``run_experiment`` in one process
+    never does, so a library caller's count stands."""
     libs = os.path.join(np.__path__[0], os.pardir, "numpy.libs")
     for name in os.listdir(libs) if os.path.isdir(libs) else ():
         lib = "openblas" in name and ctypes.CDLL(os.path.join(libs, name))
@@ -74,16 +81,83 @@ def _one_blas_thread():
             lib.blas_thread_shutdown_()
 
 
+def _serve(fn, items, next_index, token, out):
+    """A forked worker's loop (see ``_parallel_map``).  It leaves only through
+    ``os._exit``, so the parent's ``finally`` blocks, ``atexit`` hooks and
+    unflushed stdio never run here."""
+    try:
+        _one_blas_thread()
+        while True:
+            os.read(token[0], 1)   # the token: one claimant at a time
+            i = int.from_bytes(next_index, "little")
+            next_index[:] = (i + 1).to_bytes(8, "little")
+            os.write(token[1], b"\0")
+            if i >= len(items):
+                os._exit(0)
+            try:
+                msg = pickle.dumps((i, True, fn(items[i])), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                exc.add_note("".join(traceback.format_exception(exc)))
+                msg = pickle.dumps((i, False, exc), pickle.HIGHEST_PROTOCOL)
+            msg = memoryview(len(msg).to_bytes(8, "little") + msg)
+            while msg:
+                msg = msg[os.write(out, msg):]
+    finally:
+        os._exit(1)   # only an error gets here
+
+
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; thread count never changes the results, only
     how they are computed.  One worker or one item runs in this process,
-    with OpenBLAS at whatever thread count the caller's process has."""
+    with OpenBLAS at whatever thread count the caller's process has.  Else
+    min(threads, items) forked workers inherit ``fn`` and ``items``, so
+    nothing is pickled to them.  Each claims the next index from a shared
+    counter while it holds a one-byte pipe token, and sends ``(index, ok,
+    result or exception)`` on its own pipe as a length-prefixed pickle.
+    The parent polls those pipes and raises a worker's exception, with its
+    traceback as a note, or if a worker dies or leaves a claimed index
+    unanswered; it reaps every worker on every path."""
     threads = _workers(threads)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(threads, len(items)),
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+    next_index, token = mmap.mmap(-1, 8), os.pipe()
+    os.write(token[1], b"\0")
+    workers, results, poller = {}, {}, select.poll()
+    try:
+        for _ in range(min(threads, len(items))):
+            fd, out = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(fn, items, next_index, token, out)
+            os.close(out)
+            workers[fd] = (pid, bytearray())
+            poller.register(fd, select.POLLIN)
+        while workers:
+            for fd, _ in poller.poll():
+                pid, buf = workers[fd]
+                buf += (chunk := os.read(fd, 1 << 16))
+                while len(buf) >= 8 and len(buf) >= (
+                        end := 8 + int.from_bytes(buf[:8], "little")):
+                    i, ok, value = pickle.loads(buf[8:end])
+                    del buf[:end]
+                    if not ok:
+                        raise value
+                    results[i] = value
+                if not chunk:
+                    poller.unregister(fd)
+                    os.close(fd)
+                    del workers[fd]
+                    if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                        raise ChildProcessError(f"a worker exited with code {code}")
+        if len(results) < len(items):
+            raise ChildProcessError("a worker exited with an item claimed but unanswered")
+        return [results[i] for i in range(len(items))]
+    finally:
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (*workers, *token):
+            os.close(fd)
+        next_index.close()
 
 
 def _items(cfg: ExperimentConfig, *grids) -> list:

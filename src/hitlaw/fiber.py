@@ -201,12 +201,13 @@ def density_ratio(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
 def sample_fiber_prefix(fm: FiberMeasure, window: BaseWindow, length: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Draw fiber coordinates 0..length-1, coordinate i from the row picked
-    by noise symbol i."""
+    by noise symbol i: the count of the row's b - 1 inner cdf breakpoints
+    below its uniform, so that a row summing to just under 1 never draws b."""
     if length < 0:
         raise ValueError("length must be >= 0")
     if length == 0:
         return np.empty(0, dtype=np.int64)
     rows = window.prefix(length)
-    cum = np.cumsum(fm.W, axis=1)[rows]          # (length, b)
+    cum = np.cumsum(fm.W, axis=1)[rows, :-1]     # (length, b - 1)
     u = rng.random(length)
     return (u[:, np.newaxis] > cum).sum(axis=1).astype(np.int64)

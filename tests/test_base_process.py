@@ -134,6 +134,22 @@ def test_sticky_markov_extension_draws_what_the_per_symbol_loop_draws(s, stay, s
     assert win.prefix(len(want)).tolist() == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(stay=st.sampled_from([0.6, 1 - 1e-6]), seed=st.integers(0, 2**32 - 1),
+       reads=st.lists(st.integers(1, 100), min_size=1, max_size=3))
+def test_short_markov_draws_are_those_of_the_per_symbol_loop(stay, seed, reads):
+    # the quenched-markov benchmark chain and a sticky one: a read shorter
+    # than _RUN_HANDOFF is walked whole, a longer one goes through the rounds
+    proc = BaseProcess.markov([[stay, 1 - stay], [1 - stay, stay]])
+    win = sample_window(proc, seed, reads[0])
+    ref_rng = make_rng(seed)
+    want = _markov_reference(proc, ref_rng, reads[0])
+    for extra in reads[1:]:
+        win.prefix(len(want) + extra)
+        want += _markov_reference(proc, ref_rng, extra, want[-1])
+    assert np.array_equal(win.prefix(len(want)), want)
+
+
 class _PresetRng:
     """Stands in for a generator: returns preset uniforms in order."""
 

@@ -553,11 +553,13 @@ def test_a_run_of_each_kind_never_imports_numpy_ma(tmp_path):
 
 def test_importing_the_program_leaves_numpy_random_unloaded():
     # the generator is imported where the first noise is drawn, and the yaml
-    # parser where a file is read, so their costs stay out of set-up
+    # parser where a file is read, so their costs stay out of set-up; the
+    # workers are forked directly, with no process pool to import
     got = _fresh_python("""if True:
         import json, sys
         import hitlaw.cli, hitlaw.experiments
-        print(json.dumps([m for m in ("numpy.random", "numpy.ma", "yaml")
+        print(json.dumps([m for m in ("numpy.random", "numpy.ma", "yaml",
+                                      "concurrent.futures")
                           if m in sys.modules]))
         """)
     assert got == []
@@ -621,6 +623,32 @@ def test_pool_workers_run_blas_on_one_thread():
     parent = _blas_threads(None)[0]
     assert _parallel_map(_blas_threads, [0, 1, 2], 2) == [(1, 1)] * 3
     assert _blas_threads(None)[0] == parent
+
+
+def test_a_one_worker_cli_run_puts_blas_on_one_thread(tmp_path):
+    # the CLI owns its process, so a one-worker run sets the count as a
+    # forked worker does; run_experiment alone leaves a caller's count be
+    tree = _tiny_tree(experiment="ledger", sweep={"n": [2, 3], "t": [0.5]})
+    config = _write(tmp_path, tree)
+    got = _fresh_python(f"""if True:
+        import ctypes, glob, json, os
+        import numpy as np
+        from hitlaw.cli import main
+        from hitlaw.config import build_config
+        from hitlaw.experiments import run_experiment
+        [path] = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                        "numpy.libs", "*openblas*"))
+        get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        before = get_threads()
+        run_experiment(build_config({tree!r}), {str(tmp_path / "lib")!r})
+        library = get_threads()
+        code = main(["run", "--config", {config!r}, "--out",
+                     {str(tmp_path / "cli")!r}, "--threads", "1"])
+        print(json.dumps([before, library, code, get_threads()]))
+        """)
+    before, library, code, after = got
+    assert (library, code, after) == (before, 0, 1)
 
 
 # Each tree breaks one rule that a run depends on; the key that names it.

@@ -227,3 +227,57 @@ def test_sample_fiber_prefix_pattern_frequency_matches_marginal():
         count += int(tuple(xs) == pat.symbols)
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert abs(count / trials - exact) < 3 * sigma
+
+
+class _Uniforms:
+    """Stands in for a generator whose one ``random`` call returns preset
+    uniforms."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self._u.size
+        return self._u
+
+
+def _on_and_beside(breakpoints):
+    """Uniforms at 0, just under 1, and on each breakpoint and one double
+    either side of it."""
+    u = [0.0, np.nextafter(1.0, 0.0)]
+    for c in breakpoints:
+        u += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+    return [x for x in u if 0.0 <= x < 1.0]
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.25, 0.75], [0.5, 0.5]],
+    [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]],   # 0.1 + 0.2 rounds up
+])
+def test_fiber_draw_is_the_count_of_cdf_entries_below_the_uniform(matrix):
+    # on rows whose cdf ends at 1, counting the inner breakpoints below u is
+    # counting all b entries, ties on a breakpoint included
+    fm = FiberMeasure(np.array(matrix))
+    cum = np.cumsum(fm.W, axis=1)
+    assert (cum[:, -1] == 1.0).all()
+    u = np.array(_on_and_beside(cum[:, :-1].ravel().tolist()))
+    for row in range(fm.base_alphabet_size):
+        window = _FixedWindow([row] * u.size)
+        want = (u[:, np.newaxis] > cum[[row] * u.size]).sum(axis=1)
+        got = sample_fiber_prefix(fm, window, u.size, _Uniforms(u))
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.25, 0.75 - 4e-13], [0.5, 0.5]],
+    [[0.2, 0.7, 0.1 - 4e-13], [0.1, 0.1, 0.8]],
+])
+def test_fiber_draw_on_a_row_summing_below_one_stays_in_the_alphabet(matrix):
+    # such a row passes the stochastic check; a uniform above its last cdf
+    # entry still draws its last symbol, not b
+    fm = FiberMeasure(np.array(matrix))
+    b = fm.fiber_alphabet_size
+    assert np.cumsum(fm.W[0])[-1] < 1.0
+    u = [1.0 - 2.0**-50, np.nextafter(1.0, 0.0), 0.0]
+    got = sample_fiber_prefix(fm, _FixedWindow([0, 0, 0]), 3, _Uniforms(u))
+    assert got.tolist() == [b - 1, b - 1, 0]
