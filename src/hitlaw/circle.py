@@ -294,18 +294,17 @@ class CircleLawResult(NamedTuple):
     delta_r: float
     trials: int
     censored_count: int
-    widened_uncertainty: bool
 
 
 def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
-                           trials: int, seed, cap: int | None = None) -> CircleLawResult:
+                           trials: int, seed) -> CircleLawResult:
     """Empirical survival of rescaled ball hitting times for one fixed noise
     sequence, plus its sup distance to exp(-t).
 
     Start points are uniform B-bit dyadics with B budgeted for the scan
     horizon; survival at t is the fraction of trials with hitting time
-    beyond floor(t / (2r)).  If a cap below the largest grid point is
-    forced, censored scans count as surviving and the result is flagged.
+    beyond floor(t / (2r)); a scan runs to the largest grid point, and
+    one censored there survives every grid point.
     """
     if trials < MIN_LAW_TRIALS:
         raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
@@ -313,18 +312,15 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     target = BallTarget(center=y, radius=r)
     ks = np.array([target.horizon(ti) for ti in t], dtype=np.int64)
     k_max = int(ks[-1])
-    scan_cap = k_max if cap is None else int(cap)
-    widened = scan_cap < k_max
-    precision = required_bits(scan_cap, rds.max_multiplier)
+    precision = required_bits(k_max, rds.max_multiplier)
     den = 1 << precision
     nums = _uniform_numerators(make_rng(seed), precision, trials)
-    hits = _scan_to_ball(nums, den, _bits_sequence(bits, scan_cap), rds.multipliers,
-                         _ball_arc(target, den), scan_cap)
+    hits = _scan_to_ball(nums, den, _bits_sequence(bits, k_max), rds.multipliers,
+                         _ball_arc(target, den), k_max)
     censored = hits.count(None)
-    taus = np.array([scan_cap + 1 if hit is None else hit for hit in hits],
+    taus = np.array([k_max + 1 if hit is None else hit for hit in hits],
                     dtype=np.int64)
-    survival = np.array([(taus > min(k, scan_cap)).mean() for k in ks])
+    survival = np.array([(taus > k).mean() for k in ks])
     delta_r = ks_to_exponential(survival, t)
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
-                           delta_r=delta_r, trials=trials, censored_count=censored,
-                           widened_uncertainty=widened)
+                           delta_r=delta_r, trials=trials, censored_count=censored)

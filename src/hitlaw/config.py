@@ -151,6 +151,9 @@ def _parse(tree: dict) -> tuple:
             any(not _is_int(s) or s < 0 for s in seeds):
         v.append("seeds: must be a non-empty list of integers >= 0 "
                  "(no ambient entropy)")
+    elif len(set(seeds)) < len(seeds):
+        # a repeated seed repeats its rows but keys one report entry
+        v.append("seeds: must be distinct")
     trials = tree.get("trials", 1)
     if not _is_int(trials) or trials < 1:
         v.append("trials: must be an integer >= 1")

@@ -205,8 +205,6 @@ def sample_fiber_prefix(fm: FiberMeasure, window: BaseWindow, length: int,
     below its uniform, so that a row summing to just under 1 never draws b."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        return np.empty(0, dtype=np.int64)
     rows = window.prefix(length)
     cum = np.cumsum(fm.W, axis=1)[rows, :-1]     # (length, b - 1)
     u = rng.random(length)

@@ -164,46 +164,42 @@ def _ledger_price(n: int, k: int, g: int, jmax: int) -> int:
 
 
 def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                 checkpoints, g: int | None) -> list:
+                 checkpoints, g: int) -> list:
     """Per checkpoint (k, jmax), ascending in both, (d, s0_at_k, c_at_g,
-    s_at_g, h) from one sweep at the last: per offset i = 1..k, d_i =
-    sup_{j <= jmax} |survival from i - return recursion of i|; survival from
-    0 at j = k; with a gap g (else None), return recursion and survival of i
-    at j = g, and h_i = sup_{j <= jmax} |delayed-mask of i - survival from
-    i+g|.  The sweep is laid out in absolute coordinate, so an earlier
-    checkpoint reads its columns at their own cutoffs (see ``_sweep`` for
-    when that is bit for bit its own sweep)."""
+    s_at_g, h) from one sweep at the last, for a gap g >= 1: per offset i =
+    1..k, d_i = sup_{j <= jmax} |survival from i - return recursion of i|;
+    survival from 0 at j = k; return recursion and survival of i at j = g,
+    and h_i = sup_{j <= jmax} |delayed-mask of i - survival from i+g|.  The
+    sweep is laid out in absolute coordinate, so an earlier checkpoint
+    reads its columns at their own cutoffs (see ``_sweep`` for when that is
+    bit for bit its own sweep)."""
     n = pat.n
-    gap = g or 0
     k, jmax = checkpoints[-1]
-    symbols = window.prefix(k + gap + jmax + n)
+    symbols = window.prefix(k + g + jmax + n)
     aut = build_automaton(pat)
     # column p of each family reads its j = 1..jmax from coordinate n + p,
     # so compared values meet in one column: survival from offset p (n-1
     # reads from p+1 to its entry), the return recursion of offset p (from
     # the border state), the delayed-mask one of offset p-g (g full reads
     # from the accepting state); the first two leave state n empty
-    families = 2 if g is None else 3
-    entry = np.zeros((k + gap + 1, families, n + 1))
-    s_V = np.tile(np.eye(n)[0], (k + gap + 1, 1))
+    entry = np.zeros((k + g + 1, 3, n + 1))
+    s_V = np.tile(np.eye(n)[0], (k + g + 1, 1))
     _lockstep(masked_step_matrices(fm, aut),
-              _column_symbols(symbols, 1, k + gap + 1, n - 1), s_V, [n - 1])
+              _column_symbols(symbols, 1, k + g + 1, n - 1), s_V, [n - 1])
     entry[:, 0, :n] = s_V
     entry[1:k + 1, 1, aut.border] = 1.0
-    if g is not None:
-        h_V = np.tile(np.eye(n + 1)[n], (k, 1))
-        _lockstep(full_step_matrices(fm, aut), _column_symbols(symbols, n + 1, k, g),
-                  h_V, [g])
-        entry[g + 1:, 2] = h_V
+    h_V = np.tile(np.eye(n + 1)[n], (k, 1))
+    _lockstep(full_step_matrices(fm, aut), _column_symbols(symbols, n + 1, k, g),
+              h_V, [g])
+    entry[g + 1:, 2] = h_V
 
     # per checkpoint and column, the sup over j <= jmax of |family -
     # survival|; the last checkpoint's runs over whole blocks, an earlier
     # one's takes, in the block holding a column's cutoff, the rows up to it
-    sup = np.zeros((len(checkpoints), families - 1, k + gap + 1))
+    sup = np.zeros((len(checkpoints), 2, k + g + 1))
     cutoffs = [jmax_c for _, jmax_c in checkpoints[:-1]]
     # every family's mass at j = g and at each checkpoint's j = k
-    at = {j: np.zeros((families, k + gap + 1))
-          for j in {gap, *(k_c for k_c, _ in checkpoints)} if j}
+    at = {j: np.zeros((3, k + g + 1)) for j in {g, *(k_c for k_c, _ in checkpoints)}}
     for a, lo, masses in _sweep(masked_arrival_matrices(fm, aut), symbols, n,
                                 entry, jmax):
         L, width = masses.shape[1:]
@@ -225,22 +221,19 @@ def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
             if p0 < p1:
                 values[:, p0:p1] = masses[:, np.arange(p0, p1) - base,
                                           np.arange(p0 - lo, p1 - lo)]
-    if g is None:
-        return [(sup_c[0, 1:k_c + 1], float(at[k_c][0, 0]), None, None, None)
-                for (k_c, _), sup_c in zip(checkpoints, sup)]
     return [(sup_c[0, 1:k_c + 1], float(at[k_c][0, 0]), at[g][1, 1:k_c + 1],
              at[g][0, 1:k_c + 1], sup_c[1, g + 1:k_c + g + 1])
             for (k_c, _), sup_c in zip(checkpoints, sup)]
 
 
 def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                 checkpoints, g: int | None) -> list:
+                 checkpoints, g: int) -> list:
     """Batched exact evaluation of the per-offset discrepancies, per
     checkpoint (k, jmax) of :func:`_sweep_terms`.
 
     Returns, per checkpoint, (mu, delta, both sides of the recursion bound,
-    the one-miss product) and, when a gap g is given, also (conditional mass
-    at g, survival at g, mixing sup) per offset.
+    the one-miss product, conditional mass at g, survival at g, mixing sup),
+    the last three per offset.
     """
     k = checkpoints[-1][0]
     offsets = np.arange(1, k + 1, dtype=np.int64)
@@ -354,10 +347,11 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
     Returns (lhs, rhs, passed): lhs is |survival(k) - prod(1 - mu_i)|, rhs
     the discrepancy-weighted prefix-product sum.  The recursions run to
     jmax = k, which certifies the bound (the unrolled recursion consults
-    j < k).
+    j < k).  They run with gap 1, as every sweep has a gap; the survival
+    and return families that the bound reads do not depend on it.
     """
     k = _horizon(fm, proc, pat, t)
-    (lhs, rhs) = _delta_terms(fm, window, pat, [(k, k)], None)[0][2]
+    (lhs, rhs) = _delta_terms(fm, window, pat, [(k, k)], 1)[0][2]
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

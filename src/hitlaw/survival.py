@@ -101,6 +101,12 @@ def masked_arrival_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarr
 _BLOCK_CODES = 256
 
 
+def _table_bytes(s: int, n: int) -> int:
+    """Bytes that bound one n-letter word's table on s noise symbols: s**L
+    block products, s single-read matrices and the identity, n x n each."""
+    return (_BLOCK_CODES + s + 1) * 8 * n * n
+
+
 def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     length = 1
     while s ** (length + 1) <= _BLOCK_CODES:
@@ -115,14 +121,14 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
     r of column c applies ``mats[sym[c, r-1]]``.  Returns column masses,
     one row per record.
 
-    Masses are recorded at the nondecreasing read counts of ``record``, one
-    list for all columns or one row per column, and each column stops at its
-    last record, so rows of ``sym`` may be padded.  ``mats`` stacks one
-    word's (s, states, states) matrices per word, column c on word
-    ``words[c]``.  Each column runs the schedule of its one-column call: L
+    ``mats`` stacks one word's (s, states, states) matrices per word, column
+    c on word ``words[c]``.  Masses are recorded at the nondecreasing read
+    counts of ``record``, one row per word or one row for all words, and
+    each column stops at its word's last record, so rows of ``sym`` may be
+    padded.  Each word has one schedule, which is its one-column call's: L
     from its read count (``block`` overrides it), and between records first
-    the L-read blocks, through its word's table of s**L products, then the
-    single reads.  Identity steps pad each stretch to the longest column's,
+    the L-read blocks, through the word's table of s**L products, then the
+    single reads.  Identity steps pad each stretch to the longest word's,
     so one step is one gather from the tables and one batched product.  An
     identity step is exact and each column gets its own product, so a
     column's values are bit-identical to its one-column call.  Masses after
@@ -130,50 +136,45 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
     """
     mats = mats[np.newaxis] if mats.ndim == 3 else mats
     s, states = mats.shape[1:3]
+    words = np.broadcast_to(words, len(sym))
     record = np.broadcast_to(np.asarray(record, dtype=np.int64),
-                             (len(sym), np.shape(record)[-1]))
+                             (len(mats), np.shape(record)[-1]))
     reads = record[:, -1]
-    length = np.full(len(sym), block) if block else _block_length(s, reads)
+    length = np.full(len(mats), block) if block else _block_length(s, reads)
     bounds = np.column_stack([0 * reads, record])
     jumps, singles = np.divmod(np.diff(bounds, axis=1), length[:, np.newaxis])
     steps = jumps + singles   # per stretch: the blocks, then the single reads
     offset = np.cumsum([0, *steps.max(axis=0)])
-    # columns of one word, block length and records share a schedule; one
-    # opaque key per column groups them (np.unique on rows, axis=0, is 5-10
-    # times slower)
-    spec = np.ascontiguousarray(np.column_stack(
-        [np.broadcast_to(words, len(sym)), length, record]))
-    keys = spec.view(np.dtype((np.void, spec.itemsize * spec.shape[1]))).ravel()
-    _, heads, group = np.unique(keys, return_index=True, return_inverse=True)
-    # group g's entries start at first[g]: its word's s**L block products,
-    # then its s matrices; the last entry is the identity, and every index
-    # fits the narrowest dtype that holds the table's length
-    first = np.cumsum([0, *s ** length[heads] + s]).tolist()
+    # word w's entries start at first[w]: its s**L block products, then its
+    # s matrices; the last entry is the identity, and every index fits the
+    # narrowest dtype that holds the table's length
+    first = np.cumsum([0, *s ** length + s]).tolist()
     table = np.empty((first[-1] + 1, states, states))
     table[-1] = np.eye(states)
     idx = np.full((offset[-1], len(sym)), first[-1], np.min_scalar_type(first[-1]))
-    for g, h in enumerate(heads):   # h: the group's first column
-        w, L = spec[h, :2].tolist()
+    for w, L in enumerate(length.tolist()):
+        cols = np.flatnonzero(words == w)
+        if not cols.size:
+            continue
         prods = mats[w]
         for _ in range(L - 1):   # code c*s + a: block c, then symbol a
             prods = (mats[w][np.newaxis] @ prods[:, np.newaxis]).reshape(-1, states, states)
-        table[first[g]:first[g + 1]] = np.concatenate([prods, mats[w]])
-        cols = np.flatnonzero(group == g)
-        seg = np.repeat(np.arange(steps[h].size), steps[h])   # each step's stretch
-        j = np.arange(seg.size) - (np.cumsum(steps[h]) - steps[h])[seg]   # its place
+        table[first[w]:first[w + 1]] = np.concatenate([prods, mats[w]])
+        seg = np.repeat(np.arange(steps[w].size), steps[w])   # each step's stretch
+        j = np.arange(seg.size) - (np.cumsum(steps[w]) - steps[w])[seg]   # its place
         # a step's first read: the blocks every L reads, then single reads
-        at = bounds[h, seg] + j + (L - 1) * np.minimum(j, jumps[h, seg])
-        # reads gathered along one axis of a view from the group's first row
+        at = bounds[w, seg] + j + (L - 1) * np.minimum(j, jumps[w, seg])
+        # reads gathered along one axis of a view from the word's first row
         # to its last: three times faster than a (rows, reads) fancy gather;
         # a strided view (the ledger's) is copied only as far as it is read
-        span = sym[cols[0]:cols[-1] + 1, :reads[h]]
+        span = sym[cols[0]:cols[-1] + 1, :reads[w]]
         code = np.zeros((cols.size, seg.size), dtype=idx.dtype)
-        for pos in np.minimum(at + np.arange(L)[:, np.newaxis], reads[h] - 1):
+        for pos in np.minimum(at + np.arange(L)[:, np.newaxis], reads[w] - 1):
             code = code * s + span.take(pos, axis=1)[cols - cols[0]]
-        single = j >= jumps[h, seg]
+        single = j >= jumps[w, seg]
         code[:, single] = span.take(at[single], axis=1)[cols - cols[0]]
         code[:, single] += s ** L
-        code += first[g]
+        code += first[w]
         idx[np.ix_(offset[seg] + j, cols)] = code.T
     v = V[:, :, np.newaxis]
     out = np.empty((record.shape[1], len(sym)))
@@ -195,21 +196,24 @@ def _check_survival(values: np.ndarray) -> None:
 
 def _windows_survival(fm: FiberMeasure, pats, windows, ks) -> np.ndarray:
     """Exact P(no occurrence of ``pats[c]`` starts at coordinates 1..k) under
-    ``windows[c]`` at each k of ``ks`` (one nondecreasing row, or one per
-    column), in one kernel call.  The words share one length.  Shape
-    (columns, records)."""
+    ``windows[c]`` at each k of ``ks``, in one kernel call.  ``ks`` holds
+    one nondecreasing row per distinct word, in the order the words first
+    appear in ``pats``, or one row for all; the words share one length.
+    Shape (columns, records)."""
     words = {pat: i for i, pat in enumerate(dict.fromkeys(pats))}
+    column_words = [words[p] for p in pats]
     n = pats[0].n
     # survival at k is decided after reading coordinates 1 .. k+n-1
     record = np.broadcast_to(np.where(ks == 0, 0, ks + n - 1),
-                             (len(pats), np.shape(ks)[-1]))
-    rows = [w.prefix(int(r[-1]) + 1)[1:] for w, r in zip(windows, record)]
+                             (len(words), np.shape(ks)[-1]))
+    rows = [window.prefix(int(record[w, -1]) + 1)[1:]
+            for window, w in zip(windows, column_words)]
     sym = np.zeros((len(rows), record[:, -1].max()), dtype=rows[0].dtype)
     for row, symbols in zip(sym, rows):
         row[:symbols.size] = symbols
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in words])
     values = _lockstep(mats, sym, np.tile(np.eye(n)[0], (len(rows), 1)), record,
-                       words=[words[p] for p in pats]).T
+                       words=column_words).T
     _check_survival(values)
     return values
 

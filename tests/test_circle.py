@@ -160,13 +160,6 @@ def test_quenched_law_statistic_basics(rds):
         quenched_law_statistic(rds, bits, 0.3, 0.05, [0.0, 1.0], trials=50, seed=5)
 
 
-def test_quenched_law_widened_when_capped(rds):
-    bits = sample_window(rds.base, 32, 10)
-    out = quenched_law_statistic(rds, bits, y=0.3, r=0.05, t_grid=[0.0, 1.0],
-                                 trials=100, seed=6, cap=3)
-    assert out.widened_uncertainty
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4100), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_uniform_numerators_match_per_point_bytes(precision, count, seed):

@@ -666,6 +666,7 @@ _BAD_TREES = {
         experiment="ledger", ledger={"jmax_factor": 0},
         sweep={"n": [2, 3], "t": [0.5, 1.0]})),
     "threads-boolean": ("threads", _tiny_tree(threads=True)),
+    "seeds-repeated": ("seeds", _tiny_tree(seeds=[0, 0, 1])),
     "base-not-a-tree": ("base", _tiny_tree(base=[1, 2])),
     "sweep-not-a-tree": ("sweep", _tiny_tree(sweep=[1])),
     "t-stop-string": ("sweep.t", _tiny_tree(

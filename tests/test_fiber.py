@@ -202,7 +202,10 @@ def test_sample_fiber_prefix_empty_and_band(coin_pair):
     proc, fm = coin_pair
     rng = make_rng(8)
     win = sample_window(proc, seed=3, length=10**5)
-    assert sample_fiber_prefix(fm, win, 0, rng).size == 0
+    state = rng.bit_generator.state
+    empty = sample_fiber_prefix(fm, win, 0, rng)
+    assert empty.size == 0 and empty.dtype == np.int64
+    assert rng.bit_generator.state == state   # an empty draw consumes nothing
     n = 10**5
     xs = sample_fiber_prefix(fm, win, n, rng)
     rows = win.prefix(n)

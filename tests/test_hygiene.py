@@ -1,14 +1,17 @@
-"""Dead-code checks over the package source, by its syntax tree alone.
+"""Dead-code and coupling checks over the package source, by its syntax
+tree alone.
 
 An import a module never uses, a module-level private name nothing in the
 package reads, a parameter default that no call overrides, or an exception
 class that nothing raises is left over from a change that removed its last
-use.
+use.  A module that reads another module's private constant depends on
+how that module is tuned.
 """
 
 import ast
 import math
 import pathlib
+import re
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hitlaw"
@@ -140,3 +143,20 @@ def test_every_error_class_is_raised():
     never = [node.name for node in MODULES["errors.py"].body
              if isinstance(node, ast.ClassDef) and node.name not in raised]
     assert never == []
+
+
+def test_no_module_reads_another_modules_private_constant():
+    # a private _UPPER_CASE constant tunes its own module; another module
+    # that needs what follows from it asks its owner through a function
+    private = re.compile(r"_[A-Z][A-Z0-9_]*$")
+    modules = {name.removesuffix(".py") for name in MODULES}
+    reads = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reads += [f"{name}:{node.lineno} {a.name}" for a in node.names
+                          if private.match(a.name)]
+            elif (isinstance(node, ast.Attribute) and private.match(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
+                reads.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads == []

@@ -96,76 +96,77 @@ def test_block_mode_matches_a_read_by_read_loop(columns):
 
 def test_block_mode_columns_do_not_depend_on_companions():
     # three words on seven columns with their own records (repeats
-    # included) in one padded array; each column stops at its last record,
-    # and the five that read 4 * 3**5 or more take blocks of 5
+    # included) in one padded array; each column stops at its word's last
+    # record.  Words 0 and 1 share their last record; their five columns
+    # read 4 * 3**5 or more and take blocks of 5, word 2's take single reads
     rng = make_rng(12)
     fm = random_fiber_measure(rng, 3, 2)
     pats = [Pattern((0, 1, 1, 0, 1), 2), Pattern((1, 1, 1, 0, 0), 2),
             Pattern((0, 0, 1, 0, 1), 2)]
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in pats])
     sym = rng.integers(0, 3, size=(7, 2_000)).astype(np.uint8)
-    record = np.array([[0, 3, 500, 1_001, 2_000], [0, 0, 7, 7, 499],
-                       [1, 1, 1, 1_998, 1_999], [0, 3, 500, 501, 980],
-                       [2_000] * 5, [0, 1, 2, 3, 3], [0, 10, 10, 1_000, 1_500]])
+    record = np.array([[0, 3, 500, 1_001, 2_000], [1, 1, 7, 1_998, 2_000],
+                       [0, 10, 10, 480, 499]])
     words = [c % 3 for c in range(7)]
     batch = np.zeros((7, pats[0].n))
     batch[:, 0] = 1.0
     together = _lockstep(mats, sym, batch, record, words=words)
-    for c in range(7):
+    for c, w in enumerate(words):
         alone = np.zeros((1, pats[0].n))
         alone[0, 0] = 1.0
-        row = sym[c:c + 1, :record[c, -1]]
-        assert np.array_equal(_lockstep(mats[words[c]], row, alone, record[c])[:, 0],
+        row = sym[c:c + 1, :record[w, -1]]
+        assert np.array_equal(_lockstep(mats[w], row, alone, record[w])[:, 0],
                               together[:, c])
         assert np.array_equal(alone[0], batch[c])
 
 
 @st.composite
 def _columns_case(draw):
-    """A random binary model, one to three words of one length, and one to four
-    columns, each on one of the words with its own noise row and its own
-    records k(t) = floor(t / mu) on a shared t grid, with a per-column mu as
-    on a Markov base: rows repeat entries and differ between columns.  Noise
-    rows come from a sticky two-state chain.  With at most 4 block codes a
-    binary noise alphabet has L = 2, so a column of 16 reads takes blocks
-    and a shorter one single steps."""
+    """A random binary model, one to three words of one length, each with
+    its own records k(t) = floor(t / mu) on a shared t grid, as the
+    records of a run follow mu(A), a function of the word: rows repeat
+    entries and differ between words.  One to four columns, each on one of
+    the words with its own noise row, drawn from a sticky two-state chain.
+    With at most 4 block codes a binary noise alphabet has L = 2, so a word
+    read for 16 reads takes blocks and a shorter one single steps."""
     n = draw(st.integers(1, 3))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     fm = random_fiber_measure(rng, 2, 2)
-    pats = [Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
-            for _ in range(draw(st.integers(1, 3)))]
     t = np.linspace(0.0, 1.0, draw(st.integers(1, 6)))
-    columns = []
-    for blocks in draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+    pats, records = [], []
+    for blocks in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        pats.append(Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2))
         k_max = 17 - n if blocks else draw(st.integers(0, 12 - n))
         ks = np.floor(t * draw(st.floats(0.3, 1.0)) * k_max).astype(np.int64)
         ks[-1] = k_max
-        row = np.cumsum(rng.random(k_max + n) < 0.2) % 2
-        columns.append((draw(st.integers(0, len(pats) - 1)), row, ks))
-    return fm, pats, columns
+        records.append(ks)
+    columns = [(w, np.cumsum(rng.random(records[w][-1] + n) < 0.2) % 2)
+               for w in draw(st.lists(st.integers(0, len(pats) - 1),
+                                      min_size=1, max_size=4))]
+    return fm, pats, np.array(records), columns
 
 
 @settings(max_examples=30, deadline=None)
 @given(_columns_case())
-def test_per_column_words_and_records_match_one_column_calls(case):
-    fm, pats, columns = case
+def test_per_word_records_match_one_column_calls(case):
+    fm, pats, word_ks, columns = case
     n = pats[0].n
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in pats])
-    records = np.array([np.where(ks == 0, 0, ks + n - 1) for _, _, ks in columns])
+    records = np.where(word_ks == 0, 0, word_ks + n - 1)
     sym = np.zeros((len(columns), 16), dtype=np.int64)   # padded rows
-    for c, ((_, row, _), rec) in enumerate(zip(columns, records)):
-        sym[c, :rec[-1]] = row[1:rec[-1] + 1]
-    words = [w for w, _, _ in columns]
+    for c, (w, row) in enumerate(columns):
+        sym[c, :records[w, -1]] = row[1:records[w, -1] + 1]
+    words = [w for w, _ in columns]
     V = np.tile(np.eye(n)[0], (len(columns), 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(survival, "_BLOCK_CODES", 4)
         together = _lockstep(mats, sym, V, records, words=words)
-        for c, (w, row, ks) in enumerate(columns):
+        for c, (w, row) in enumerate(columns):
             alone_V = np.eye(n)[[0]]
-            alone = _lockstep(mats[w], sym[c:c + 1, :records[c, -1]], alone_V,
-                              records[c])
+            alone = _lockstep(mats[w], sym[c:c + 1, :records[w, -1]], alone_V,
+                              records[w])
             assert np.array_equal(alone[:, 0], together[:, c])
             assert np.array_equal(alone_V[0], V[c])
             want = oracle_enum.enum_quenched_survival(fm.W, row, pats[w].symbols,
-                                                      0, int(ks[-1]))
-            assert np.max(np.abs(together[:, c] - want[ks])) < 1e-12
+                                                      0, int(word_ks[w, -1]))
+            assert np.max(np.abs(together[:, c] - want[word_ks[w]])) < 1e-12

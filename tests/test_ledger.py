@@ -350,9 +350,8 @@ def test_chained_sweep_matches_the_per_block_chains(symbols, states, families,
 @st.composite
 def _sweep_case(draw):
     """A random model on 2 or 3 noise symbols, a word of length 1-4, k
-    offsets, a gap or none (the recursion-bound path), and a jmax over
-    which each column spans at least three sweep blocks, out of the
-    enumeration oracle's reach."""
+    offsets, a gap, and a jmax over which each column spans at least three
+    sweep blocks, out of the enumeration oracle's reach."""
     s = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 4))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
@@ -360,7 +359,7 @@ def _sweep_case(draw):
     window = sample_window(random_base(rng, s), draw(st.integers(0, 2**32 - 1)), 1)
     pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
     k = draw(st.integers(1, 12))
-    g = draw(st.none() | st.integers(1, k))
+    g = draw(st.integers(1, k))
     jmax = draw(st.integers(2 * ledger._SWEEP_BLOCK + 1, 3 * ledger._SWEEP_BLOCK))
     return fm, window, pat, k, g, jmax
 
@@ -373,7 +372,7 @@ def test_sweep_matches_per_offset_curves(case):
     [(d, s0_at_k, c_at_g, s_at_g, h)] = ledger._sweep_terms(fm, window, pat,
                                                             [(k, jmax)], g)
     S = [quenched_survival(fm, window, pat, p, jmax).values
-         for p in range(k + (g or 0) + 1)]
+         for p in range(k + g + 1)]
     C = [None] + [c.values / c.values[0] for c in
                   (conditional_return_survival(fm, window, pat, i, jmax)
                    for i in range(1, k + 1))]
@@ -381,9 +380,6 @@ def test_sweep_matches_per_offset_curves(case):
     assert abs(s0_at_k - S[0][k]) < 1e-12
     assert np.max(np.abs(d - [np.abs(S[i][1:] - C[i][1:]).max()
                               for i in offsets])) < 1e-12
-    if g is None:
-        assert c_at_g is None and s_at_g is None and h is None
-        return
     assert np.max(np.abs(c_at_g - [C[i][g] for i in offsets])) < 1e-12
     assert np.max(np.abs(s_at_g - [S[i][g] for i in offsets])) < 1e-12
     # the delayed-mask recursion of offset i, one column: g unmasked reads
@@ -404,7 +400,7 @@ def test_sweep_matches_per_offset_curves(case):
 def _checkpoints_case(draw):
     """A random model and word as in ``_sweep_case``, 1-3 checkpoints (k,
     jmax) ascending in both, with k <= jmax, the last jmax over two sweep
-    blocks or more, and a gap at most the least k, or none."""
+    blocks or more, and a gap at most the least k."""
     s = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 4))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
@@ -415,7 +411,7 @@ def _checkpoints_case(draw):
     ks = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
     jmaxes = sorted([draw(st.integers(k, 3 * block)) for k in ks[:-1]]
                     + [draw(st.integers(block + 1, 3 * block))])
-    g = draw(st.none() | st.integers(1, ks[0]))
+    g = draw(st.integers(1, ks[0]))
     return fm, window, pat, list(zip(ks, jmaxes)), g
 
 
@@ -430,8 +426,7 @@ def test_sweep_checkpoints_match_their_own_sweeps(case):
     for checkpoint, terms in zip(checkpoints, together):
         [alone] = ledger._sweep_terms(fm, window, pat, [checkpoint], g)
         for got, want in zip(terms, alone):
-            assert (got is None and want is None) or np.array_equal(got, want), \
-                checkpoint
+            assert np.array_equal(got, want), checkpoint
 
 
 def test_sweep_checkpoint_whose_own_sweep_ends_on_a_one_coordinate_block():
