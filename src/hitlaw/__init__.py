@@ -17,9 +17,9 @@ from .errors import PrecisionBudgetError, UnsupportedConfigError
 from .fiber import (DensityRatio, FiberMeasure, Pattern, binary_symmetric_model,
                     density_ratio, fiber_cylinder_measure,
                     marginal_cylinder_measure, sample_fiber_prefix)
-from .ledger import (EntropyEstimates, ErrorLedger, compute_ledger,
-                     entrance_sum, estimate_entropies, gap_schedule, hits_sum,
-                     verify_recursion_bound, verify_sandwich)
+from .ledger import (ErrorLedger, compute_ledger, entrance_sum, entropy_slopes,
+                     gap_schedule, hits_sum, verify_recursion_bound,
+                     verify_sandwich)
 from .stats import TrendReport, dkw_band, ks_to_exponential, trend_report
 from .survival import (PatternAutomaton, RescaledCurve, SurvivalCurve,
                        build_automaton, conditional_return_survival,

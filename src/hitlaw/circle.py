@@ -44,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base_process import BaseProcess, BaseWindow, make_rng
+from .base_process import BaseWindow, make_rng
 from .errors import PrecisionBudgetError
-from .stats import _check_t_grid, ks_to_exponential
+from .stats import _check_t_grid, _rescaled_k, ks_to_exponential
 
 _GUARD_BITS = 64
 
@@ -128,14 +128,14 @@ def circle_distance(point: CirclePoint, y) -> Fraction:
 
 @dataclass(frozen=True)
 class CircleRDS:
-    """Pair of expanding multipliers driven by a two-symbol base process.
+    """Pair of expanding multipliers driven by noise bits: bit b applies
+    ``multipliers[b]``.
 
     Every map x -> m x mod 1 with integer m >= 2 preserves Lebesgue
     measure, so the sample measures are Lebesgue for every noise sequence.
     """
 
     multipliers: tuple = (2, 3)
-    base: BaseProcess = None
 
     def __post_init__(self):
         ms = tuple(self.multipliers)
@@ -143,10 +143,6 @@ class CircleRDS:
                                    for m in ms):
             raise ValueError("multipliers must be two integers >= 2")
         object.__setattr__(self, "multipliers", tuple(map(int, ms)))
-        base = self.base if self.base is not None else BaseProcess.bernoulli([0.5, 0.5])
-        if base.alphabet_size != 2:
-            raise ValueError("circle driving process must have alphabet {0, 1}")
-        object.__setattr__(self, "base", base)
 
     @property
     def max_multiplier(self) -> int:
@@ -169,10 +165,6 @@ class BallTarget:
     @property
     def measure(self) -> float:
         return min(2.0 * self.radius, 1.0)
-
-    def horizon(self, t: float) -> int:
-        """k(t) = floor(t / measure): the map steps a survival at t reads."""
-        return math.floor(t / self.measure)
 
 
 def _bits_sequence(bits, steps: int) -> list:
@@ -310,7 +302,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
         raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
     t = _check_t_grid(t_grid)
     target = BallTarget(center=y, radius=r)
-    ks = np.array([target.horizon(ti) for ti in t], dtype=np.int64)
+    ks = np.array([_rescaled_k(ti, target.measure) for ti in t], dtype=np.int64)
     k_max = int(ks[-1])
     precision = required_bits(k_max, rds.max_multiplier)
     den = 1 << precision

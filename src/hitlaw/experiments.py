@@ -8,9 +8,10 @@ each ``("ok", key, payload)`` or ``("truncated", marker)``; ``reduce(cfg,
 done)`` builds the CSV rows and JSON report from the finished outcomes'
 ``(key, payload)`` pairs, in item order.  ``run_experiment`` dispatches all
 items of a run at once to directly forked workers (``_parallel_map``), which
-inherit the items and claim their indices from shared memory; there is no
-process pool.  Workers share nothing but that index, and results are merged
-in item order, so the emitted bytes do not depend on the worker count.
+inherit the items and claim their indices by passing the next one along a
+pipe; there is no process pool.  Workers share nothing but that index, and
+results are merged in item order, so the emitted bytes do not depend on the
+worker count.
 Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
 of columns of one word length, each chunk one kernel call, and quenched
@@ -30,7 +31,6 @@ import hashlib
 import itertools
 import json
 import math
-import mmap
 import os
 import pickle
 import select
@@ -40,14 +40,14 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .base_process import make_rng, sample_window
+from .base_process import BaseProcess, make_rng, sample_window
 from .circle import CircleRDS, quenched_law_statistic
 from .config import ExperimentConfig
 from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fiber_prefix
-from .ledger import (_ledger_price, estimate_entropies, gap_schedule,
+from .ledger import (_ledger_price, entropy_slopes, gap_schedule,
                      ledger_checkpoints, verify_sandwich)
-from .stats import ks_to_exponential, trend_report
-from .survival import _rescaled_k, _table_bytes, _windows_survival
+from .stats import _rescaled_k, ks_to_exponential, trend_report
+from .survival import _table_bytes, _windows_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -81,17 +81,17 @@ def _one_blas_thread():
             lib.blas_thread_shutdown_()
 
 
-def _serve(fn, items, next_index, token, out):
+def _serve(fn, items, token, out):
     """A forked worker's loop (see ``_parallel_map``).  It leaves only through
     ``os._exit``, so the parent's ``finally`` blocks, ``atexit`` hooks and
     unflushed stdio never run here."""
     try:
         _one_blas_thread()
         while True:
-            os.read(token[0], 1)   # the token: one claimant at a time
-            i = int.from_bytes(next_index, "little")
-            next_index[:] = (i + 1).to_bytes(8, "little")
-            os.write(token[1], b"\0")
+            # the token is the next index: one claimant holds it at a time, and
+            # an 8-byte pipe read is whole, as the pipe holds one message only
+            i = int.from_bytes(os.read(token[0], 8), "little")
+            os.write(token[1], (i + 1).to_bytes(8, "little"))
             if i >= len(items):
                 os._exit(0)
             try:
@@ -111,23 +111,24 @@ def _parallel_map(fn, items, threads: int):
     how they are computed.  One worker or one item runs in this process,
     with OpenBLAS at whatever thread count the caller's process has.  Else
     min(threads, items) forked workers inherit ``fn`` and ``items``, so
-    nothing is pickled to them.  Each claims the next index from a shared
-    counter while it holds a one-byte pipe token, and sends ``(index, ok,
-    result or exception)`` on its own pipe as a length-prefixed pickle.
+    nothing is pickled to them.  Each claims the next index by reading it,
+    as 8 bytes, from a shared pipe and writing back the one after, and sends
+    ``(index, ok, result or exception)`` on its own pipe as a length-prefixed
+    pickle.
     The parent polls those pipes and raises a worker's exception, with its
     traceback as a note, or if a worker dies or leaves a claimed index
     unanswered; it reaps every worker on every path."""
     threads = _workers(threads)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    next_index, token = mmap.mmap(-1, 8), os.pipe()
-    os.write(token[1], b"\0")
+    token = os.pipe()
+    os.write(token[1], (0).to_bytes(8, "little"))
     workers, results, poller = {}, {}, select.poll()
     try:
         for _ in range(min(threads, len(items))):
             fd, out = os.pipe()
             if (pid := os.fork()) == 0:
-                _serve(fn, items, next_index, token, out)
+                _serve(fn, items, token, out)
             os.close(out)
             workers[fd] = (pid, bytearray())
             poller.register(fd, select.POLLIN)
@@ -157,7 +158,6 @@ def _parallel_map(fn, items, threads: int):
             os.waitpid(pid, 0)
         for fd in (*workers, *token):
             os.close(fd)
-        next_index.close()
 
 
 def _items(cfg: ExperimentConfig, *grids) -> list:
@@ -266,7 +266,7 @@ def _shift_chunk(args):
     for key, (label, pat, noise) in zip(keys, columns):
         if pat not in mus:
             mus[pat] = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-        k = math.floor(cfg.t_grid[-1] / mus[pat])
+        k = _rescaled_k(cfg.t_grid[-1], mus[pat])
         price = copies * n * (k + n - 1) if k else 0
         marker = _over_budget(label, price, cfg.operation_budget)
         if marker:
@@ -276,7 +276,8 @@ def _shift_chunk(args):
     if live:
         keys, pats, windows = zip(*live)
         # the records follow the word: one row of k(t) per distinct word
-        ks = {pat: _rescaled_k(cfg.t_grid, mus[pat]) for pat in pats}
+        ks = {pat: np.array([_rescaled_k(t, mus[pat]) for t in cfg.t_grid],
+                            dtype=np.int64) for pat in pats}
         values = _windows_survival(cfg.fiber, pats, windows, np.stack(list(ks.values())))
         outcomes += [("ok", (n, key), (ks[pat], v))
                      for key, pat, v in zip(keys, pats, values)]
@@ -342,7 +343,7 @@ def _ledger_item(args):
     gap = gap_schedule(n, cfg.fiber.h0)
     for t in cfg.t_grid:
         label = f"ledger n={n} t={t} seed={seed}"
-        k = math.floor(t / mu)
+        k = _rescaled_k(t, mu)
         g, jmax = min(gap, k), cfg.jmax_factor * k
         marker = f"{label}: k=0, t too small" if k < 1 else _over_budget(
             label, _ledger_price(n, k, g, jmax), cfg.operation_budget)
@@ -388,15 +389,15 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _entropy_item(args):
+    """One word length's slope means; more than half its return-time scans
+    censored widens the run's uncertainty."""
     cfg, n = args
-    est = estimate_entropies(cfg.fiber, cfg.base, [n], cfg.trials,
-                             seed=cfg.seeds[0])
-    smb = est.smb_slopes[n]
-    ow = est.ow_slopes[n]
+    smb, ow, censored = entropy_slopes(cfg.fiber, cfg.base, n, cfg.trials,
+                                       seed=cfg.seeds[0])
     row = (n, float(smb.mean()), _stderr(smb),
            float(ow.mean()) if ow.size else float("nan"), _stderr(ow),
-           est.censored[n], cfg.trials)
-    return [("ok", (n,), (row, est.widened_uncertainty))]
+           censored, cfg.trials)
+    return [("ok", (n,), (row, censored > cfg.trials / 2))]
 
 
 def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
@@ -419,7 +420,7 @@ def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
 def _circle_item(args):
     cfg, r, seed = args
     rds = CircleRDS(multipliers=cfg.multipliers)
-    bits = sample_window(rds.base, [seed, 0], 1)
+    bits = sample_window(BaseProcess.bernoulli([0.5, 0.5]), [seed, 0], 1)
     y = float(make_rng([seed, 1]).random())
     out = quenched_law_statistic(rds, bits, y, r, cfg.t_grid,
                                  trials=cfg.trials, seed=[seed, 2])

@@ -17,13 +17,17 @@ The suprema defining delta and H run over all j >= 1 in principle; they are
 evaluated over j <= jmax and therefore reported as certified lower bounds
 of the true suprema.  The recursion-bound check stays valid under this
 truncation because the unrolled recursion only ever consults j <= k.
+
+The entropy kind's slopes live here too (``entropy_slopes``), one word
+length a call: cylinder decay, exact for each draw, and Monte Carlo return
+times, found by matching the drawn word against fresh fiber coordinates
+block by block (``_first_occurrence``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +35,9 @@ from .base_process import BaseProcess, BaseWindow, make_rng, sample_window
 from .fiber import (FiberMeasure, Pattern, _check_compatible, _cylinder_measures,
                     fiber_cylinder_measure, marginal_cylinder_measure,
                     sample_fiber_prefix)
-from .survival import (_lockstep, _scan_hitting, build_automaton,
-                       full_step_matrices, masked_arrival_matrices,
-                       masked_step_matrices)
+from .stats import _rescaled_k
+from .survival import (_lockstep, build_automaton, full_step_matrices,
+                       masked_arrival_matrices, masked_step_matrices)
 
 _TOL = 1e-12
 # Coordinates per block of the ledger sweep: 32 ran faster than 8 or 16.
@@ -258,7 +262,7 @@ def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float) -> int
     _check_compatible(fm, pat)
     if t <= 0:
         raise ValueError("t must be positive")
-    k = math.floor(t / marginal_cylinder_measure(fm, proc, pat))
+    k = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat))
     if k < 1:
         raise ValueError(f"t={t} gives k=0; nothing to compute")
     return k
@@ -381,71 +385,56 @@ def gap_schedule(n: int, h0: float) -> int:
     return max(1, math.floor(math.exp(h0 * n / 4.0)))
 
 
-class EntropyEstimates(NamedTuple):
-    """Per-n entropy slopes from cylinder decay and from return times.
-
-    smb_slopes[n] holds -(1/n) log mu_omega(n-cylinder of x) samples,
-    ow_slopes[n] holds (1/n) log R_n samples (censored scans excluded,
-    counted in censored[n]).  h_hat averages the cylinder slopes at the
-    largest n; h0 is the exact small-cylinder rate -log q_max.
-    """
-
-    n_values: tuple
-    smb_slopes: dict
-    ow_slopes: dict
-    censored: dict
-    h_hat: float
-    h0: float
-    widened_uncertainty: bool = False
-
-    def ow_mean(self, n: int) -> float:
-        vals = self.ow_slopes[n]
-        return float(np.mean(vals)) if len(vals) else float("nan")
+# Fiber coordinates a hitting-time scan draws per call; a scan draws whole
+# blocks, so the generator's state after it depends on this
+_SCAN_BLOCK = 4096
 
 
-def estimate_entropies(fm: FiberMeasure, proc: BaseProcess, n_range,
-                       samples: int, seed, cap: int = 10**6) -> EntropyEstimates:
-    """Sample entropy slopes: cylinder-measure decay along fresh (noise,
-    fiber) draws, and return times of each draw's own n-prefix.
+def _first_occurrence(fm: FiberMeasure, window: BaseWindow, word, head,
+                      rng: np.random.Generator, cap: int) -> int | None:
+    """The first k in [1, cap] at which ``word`` occurs starting at fiber
+    coordinate k, or None if it is censored at ``cap``.
 
-    Scans are capped at ``cap`` steps; a censoring rate above 50% at any n
-    flags the estimate as widened.
-    """
-    ns = tuple(int(n) for n in n_range)
-    if len(ns) == 0 or any(n < 1 for n in ns):
-        raise ValueError("n_range must be non-empty with n >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    smb: dict = {}
-    ow: dict = {}
-    censored: dict = {}
-    widened = False
-    for n in ns:
-        smb_vals = np.empty(samples)
-        ow_vals = []
-        cens = 0
-        for i in range(samples):
-            window = sample_window(proc, [seed, n, i], n)
-            rng = make_rng([seed, n, i, 1])
-            xs = sample_fiber_prefix(fm, window, n, rng)
-            prefix_word = Pattern(tuple(xs), fm.fiber_alphabet_size)
-            mu = fiber_cylinder_measure(fm, window, prefix_word)
-            smb_vals[i] = -math.log(mu) / n
-            aut = build_automaton(prefix_word)
-            ret = _scan_hitting(fm, window, aut, rng, cap,
-                                start_state=aut.border, first_coord=n)
-            if ret is None:
-                cens += 1
-            else:
-                ow_vals.append(math.log(ret) / n)
-        smb[n] = smb_vals
-        ow[n] = np.asarray(ow_vals)
-        censored[n] = cens
-        if cens > samples / 2:
-            widened = True
-    n_top = max(ns)
-    return EntropyEstimates(n_values=ns, smb_slopes=smb, ow_slopes=ow,
-                            censored=censored,
-                            h_hat=float(np.mean(smb[n_top])),
-                            h0=fm.h0,
-                            widened_uncertainty=widened)
+    Coordinates 1 .. len(head) are the known ``head`` (a return time knows
+    ``word[1:]``, a fresh hitting time nothing); the rest are drawn lazily,
+    ``_SCAN_BLOCK`` at a time and the last block cut at coordinate
+    cap + n - 1.  Each block is joined to the last n - 1 coordinates before
+    it and matched by n vectorized comparisons, so memory stays O(n +
+    block)."""
+    n = len(word)
+    text = np.asarray(head, dtype=np.int64)
+    coord, last = text.size + 1, cap + n - 1   # next coordinate to draw, last one
+    while coord <= last:
+        end = min(coord + _SCAN_BLOCK, last + 1)
+        tail = text[max(text.size - n + 1, 0):]
+        text = np.concatenate([tail, sample_fiber_prefix(fm, window.shifted(coord),
+                                                         end - coord, rng)])
+        hit = np.ones(max(text.size - n + 1, 0), dtype=bool)
+        for j, y in enumerate(word):
+            hit &= text[j:j + hit.size] == y
+        if hit.any():
+            return coord - tail.size + int(hit.argmax())
+        coord = end
+    return None
+
+
+def entropy_slopes(fm: FiberMeasure, proc: BaseProcess, n: int, samples: int,
+                   seed, cap: int = 10**6):
+    """Entropy slopes at word length n from ``samples`` fresh (noise, fiber)
+    draws x: cylinder decay -(1/n) log mu_omega(n-cylinder of x), and
+    return time (1/n) log R_n of x to its own n-prefix, scanned up to
+    ``cap`` steps.  Returns (smb, ow, censored): ow holds the slopes of
+    the scans that found a return, and censored counts the others."""
+    if n < 1 or samples < 1:
+        raise ValueError("need n >= 1 and samples >= 1")
+    smb, ow = np.empty(samples), []
+    for i in range(samples):
+        window = sample_window(proc, [seed, n, i], n)
+        rng = make_rng([seed, n, i, 1])
+        xs = sample_fiber_prefix(fm, window, n, rng)
+        mu = fiber_cylinder_measure(fm, window, Pattern(tuple(xs), fm.fiber_alphabet_size))
+        smb[i] = -math.log(mu) / n
+        ret = _first_occurrence(fm, window, xs, xs[1:], rng, cap)
+        if ret is not None:
+            ow.append(math.log(ret) / n)
+    return smb, np.asarray(ow), samples - len(ow)

@@ -23,6 +23,13 @@ def _check_t_grid(t_grid) -> np.ndarray:
     return t
 
 
+def _rescaled_k(t: float, measure: float) -> int:
+    """k(t) = floor(t / measure): the steps that a survival at rescaled time
+    t reads for a target of that measure, as a Python int, so that a price
+    built from it cannot overflow."""
+    return math.floor(t / measure)
+
+
 def ks_to_exponential(observed, t_grid) -> float:
     """Sup distance between an observed survival curve and exp(-t) on its
     t grid."""

@@ -6,8 +6,9 @@ k.  Because fiber coordinates are independent given the noise, the
 probability of surviving (no occurrence yet) evolves by a linear recursion
 over the states of the word's border automaton, with one stochastic step
 matrix per base symbol.  That recursion is the estimator of record here;
-Monte Carlo hitting times (``_scan_hitting``) serve only the return-time
-entropy estimates.
+the return-time entropy slopes (``ledger.entropy_slopes``) find their
+Monte Carlo return times by matching the word itself, without the
+automaton.
 
 Occurrences starting at coordinate 0 do not count as hits (hitting times
 start at k = 1); they do define the conditioning block for return times.
@@ -15,7 +16,6 @@ start at k = 1); they do define the conditioning block for return times.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,9 +23,8 @@ import numpy as np
 
 from .base_process import BaseProcess, BaseWindow
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
-                    fiber_cylinder_measure, marginal_cylinder_measure,
-                    sample_fiber_prefix)
-from .stats import _check_t_grid
+                    fiber_cylinder_measure, marginal_cylinder_measure)
+from .stats import _check_t_grid, _rescaled_k
 
 
 class PatternAutomaton(NamedTuple):
@@ -288,45 +287,13 @@ class RescaledCurve(NamedTuple):
     values: np.ndarray
 
 
-def _rescaled_k(t: np.ndarray, mu_a: float) -> np.ndarray:
-    """k(t) = floor(t / mu(A)) for each t."""
-    return np.array([math.floor(ti / mu_a) for ti in t], dtype=np.int64)
-
-
 def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
                       pat: Pattern, t_grid) -> RescaledCurve:
     """Exact survival at k(t) = floor(t / mu(A)) for each t, where mu(A) is
     the noise-averaged cylinder measure; the value at t = 0 is 1."""
     t = _check_t_grid(t_grid)
-    ks = _rescaled_k(t, marginal_cylinder_measure(fm, proc, pat))
+    mu_a = marginal_cylinder_measure(fm, proc, pat)
+    ks = np.array([_rescaled_k(ti, mu_a) for ti in t], dtype=np.int64)
     values = _windows_survival(fm, [pat], [window], ks)[0]
     return RescaledCurve(t_grid=t, k_values=ks, values=values)
 
-
-_SCAN_BLOCK = 4096
-
-
-def _scan_hitting(fm: FiberMeasure, window: BaseWindow, aut: PatternAutomaton,
-                  rng: np.random.Generator, cap: int, start_state: int,
-                  first_coord: int) -> int | None:
-    """Draw fiber coordinates lazily from ``first_coord`` onward and return
-    the first hit k in [1, cap], or None if censored at ``cap``.
-
-    An arrival in the accepting state at coordinate c is an occurrence
-    ending there, i.e. starting at k = c - n + 1.  Memory stays O(n): only
-    the automaton state survives between blocks.
-    """
-    n = aut.n
-    delta_rows = [tuple(int(x) for x in row) for row in aut.delta]
-    state = start_state
-    coord = first_coord
-    last_coord = cap + n - 1
-    while coord <= last_coord:
-        end = min(coord + _SCAN_BLOCK, last_coord + 1)
-        xs = sample_fiber_prefix(fm, window.shifted(coord), end - coord, rng).tolist()
-        for i, x in enumerate(xs):
-            state = delta_rows[state][x]
-            if state == n:
-                return coord + i - n + 1
-        coord = end
-    return None

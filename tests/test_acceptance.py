@@ -21,18 +21,20 @@ import numpy as np
 import oracle_enum
 from conftest import random_base, random_fiber_measure
 
-from hitlaw.base_process import make_rng, sample_window
+from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.circle import (CirclePoint, CircleRDS, quenched_law_statistic,
                            random_orbit, required_bits)
 from hitlaw.fiber import (Pattern, binary_symmetric_model, density_ratio,
                           marginal_cylinder_measure, sample_fiber_prefix)
-from hitlaw.ledger import (compute_ledger, estimate_entropies, hits_sum,
+from hitlaw.ledger import (compute_ledger, entropy_slopes, hits_sum,
                            verify_recursion_bound, verify_sandwich)
 from hitlaw.stats import dkw_band, ks_to_exponential
 from hitlaw.survival import (conditional_return_survival, quenched_survival,
                              rescaled_survival)
 
 T_GRID = tuple(round(0.1 * i, 10) for i in range(51))
+# the circle maps' noise bits, a fair coin
+FAIR = BaseProcess.bernoulli([0.5, 0.5])
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> bool:
@@ -218,11 +220,10 @@ def test_criterion_7_entropy_estimates():
     results = {}
     for p in (0.3, 0.5):
         proc, fm = binary_symmetric_model(p)
-        est = estimate_entropies(fm, proc, n_range=(6, 10, 14), samples=100,
-                                 seed=1007)
+        smb, ow, _ = entropy_slopes(fm, proc, 14, samples=100, seed=1007)
         h_true = -(p * math.log(p) + (1 - p) * math.log(1 - p))
-        smb_err = abs(est.h_hat - h_true) / h_true
-        ow_err = abs(est.ow_mean(14) - h_true) / h_true
+        smb_err = abs(smb.mean() - h_true) / h_true
+        ow_err = abs(ow.mean() - h_true) / h_true
         results[p] = (smb_err, ow_err)
     passed = all(smb < 0.05 and ow < 0.10 for smb, ow in results.values())
     detail = ", ".join(f"p={p}: smb {smb:.3f}, ow {ow:.3f}"
@@ -249,7 +250,7 @@ def test_criterion_8_circle_exactness():
                 break
     n = 10**5
     steps = 20
-    bits = sample_window(rds.base, [1008, 1], steps)
+    bits = sample_window(FAIR, [1008, 1], steps)
     precision = required_bits(steps, rds.max_multiplier)
     vals = np.empty(n)
     for i in range(n):
@@ -276,7 +277,7 @@ def test_criterion_9_circle_exponential_law():
         deltas = []
         for seed in range(30):
             k_max = math.floor(T_GRID[-1] / (2.0 * r))
-            bits = sample_window(rds.base, [1009, seed, 0], k_max)
+            bits = sample_window(FAIR, [1009, seed, 0], k_max)
             y = float(make_rng([1009, seed, 1]).random())
             out = quenched_law_statistic(rds, bits, y, r, T_GRID, trials=10**4,
                                          seed=[1009, seed, 2])

@@ -13,6 +13,9 @@ from hitlaw.circle import (BallTarget, CirclePoint, CircleRDS, circle_distance,
 from hitlaw.errors import PrecisionBudgetError
 
 
+FAIR = BaseProcess.bernoulli([0.5, 0.5])
+
+
 @pytest.fixture
 def rds():
     return CircleRDS()
@@ -31,8 +34,6 @@ def test_point_validation_and_budget():
 def test_rds_validation():
     with pytest.raises(ValueError):
         CircleRDS(multipliers=(1, 3))
-    with pytest.raises(ValueError):
-        CircleRDS(base=BaseProcess.bernoulli([0.2, 0.3, 0.5]))
     assert CircleRDS().max_multiplier == 3
 
 
@@ -104,7 +105,7 @@ def test_uniform_pushforward_stays_uniform(rds):
     n = 10**5
     steps = 20
     rng = make_rng(11)
-    bits = sample_window(rds.base, 13, steps)
+    bits = sample_window(FAIR, 13, steps)
     precision = required_bits(steps, rds.max_multiplier)
     vals = np.empty(n)
     for i in range(n):
@@ -149,7 +150,7 @@ def test_hitting_mean_near_kac_value(rds):
 
 
 def test_quenched_law_statistic_basics(rds):
-    bits = sample_window(rds.base, 31, 10)
+    bits = sample_window(FAIR, 31, 10)
     out = quenched_law_statistic(rds, bits, y=0.3, r=0.05, t_grid=[0.0, 0.5, 1.0],
                                  trials=200, seed=5)
     assert out.survival[0] == 1.0

@@ -264,6 +264,19 @@ def test_run_circle_and_entropy_kinds(tmp_path):
     assert report["h_hat"] >= report["h0"] - 1e-12
 
 
+def test_an_entropy_run_censored_at_every_scan_is_widened(tmp_path):
+    # no return to a 40-symbol word comes within the 10**6-step scan cap
+    tree = _tiny_tree(experiment="entropy", seeds=[0], trials=3, sweep={"n": [40]})
+    run_experiment(build_config(tree), str(tmp_path))
+    with open(tmp_path / "entropy.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["censored"] == row["samples"] == "3"
+    assert row["ow_mean"] == row["ow_stderr"] == "nan"
+    report = json.loads((tmp_path / "entropy.json").read_text())
+    assert report["widened_uncertainty"] is True
+    assert report["ow_slope_at_largest_n"] is None
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runs_of_one_draw_write_null_spreads_without_warning(tmp_path):
     entropy = _tiny_tree(experiment="entropy", seeds=[5], trials=1, sweep={"n": [4]})

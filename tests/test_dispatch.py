@@ -35,8 +35,8 @@ def test_many_items_come_back_in_order():
 
 
 def test_each_index_is_claimed_once_with_more_workers_than_cores():
-    # a lost update of the shared counter would run some item twice; each
-    # item marks its own byte of a mapping the forked workers share
+    # two workers holding the index token at once would run some item twice;
+    # each item marks its own byte of a mapping the forked workers share
     runs = mmap.mmap(-1, 3_000)
 
     def mark(i):

@@ -15,8 +15,8 @@ from hitlaw.config import build_config
 from hitlaw.experiments import _over_budget, run_experiment
 from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           marginal_cylinder_measure)
-from hitlaw.ledger import (EntropyEstimates, _ledger_price, compute_ledger,
-                           entrance_sum, estimate_entropies, gap_schedule, hits_sum,
+from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
+                           entropy_slopes, gap_schedule, hits_sum,
                            ledger_checkpoints, verify_recursion_bound,
                            verify_sandwich)
 from hitlaw.survival import (_lockstep, build_automaton,
@@ -509,22 +509,15 @@ def test_entrance_mean_decays_with_n(coin_pair):
     assert means[0] > means[2] + 1e-12
 
 
-def test_estimate_entropies_binary(coin_pair):
+def test_entropy_slopes_binary(coin_pair):
     proc, fm = coin_pair
-    est = estimate_entropies(fm, proc, n_range=(6, 10), samples=40, seed=303,
-                             cap=10**5)
     h_true = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
-    assert abs(est.h_hat - h_true) / h_true < 0.1
-    assert est.h0 == pytest.approx(-math.log(0.7))
-    # cylinder slopes can never undershoot the exact small-cylinder rate
-    for n in est.n_values:
-        assert est.smb_slopes[n].min() >= est.h0 - 1e-12
-    assert not est.widened_uncertainty
-
-
-def test_entropy_estimates_default_to_narrow_and_average_return_slopes():
-    est = EntropyEstimates(n_values=(2, 3), smb_slopes={}, censored={},
-                           ow_slopes={2: np.array([0.5, 1.0]), 3: np.array([])},
-                           h_hat=0.6, h0=0.4)
-    assert est.widened_uncertainty is False
-    assert est.ow_mean(2) == 0.75 and math.isnan(est.ow_mean(3))
+    for n in (6, 10):
+        smb, ow, censored = entropy_slopes(fm, proc, n, samples=40, seed=303,
+                                           cap=10**5)
+        # cylinder slopes can never undershoot the exact small-cylinder rate
+        assert smb.min() >= fm.h0 - 1e-12
+        assert censored <= 40 / 2 and ow.size == 40 - censored
+    # the cylinder-slope estimate of h, at the largest n
+    assert abs(smb.mean() - h_true) / h_true < 0.1
+    assert fm.h0 == pytest.approx(-math.log(0.7))

@@ -1,18 +1,22 @@
 import csv
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle_enum
 from conftest import random_base, random_fiber_measure
 
-from hitlaw import survival
+from hitlaw import ledger, survival
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.config import build_config
 from hitlaw.experiments import _draw_pattern, run_experiment
-from hitlaw.fiber import FiberMeasure, Pattern, fiber_cylinder_measure
+from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
+                          sample_fiber_prefix)
 from hitlaw.survival import (SurvivalCurve, build_automaton,
                              conditional_return_survival, quenched_survival,
                              rescaled_survival)
@@ -286,10 +290,63 @@ def test_annealed_survival_degenerate_and_zero_variance(coin_pair, tmp_path):
             assert float(rows[0]["stderr"]) == 0.0
 
 
-def _sample_hitting(fm, window, aut, rng, cap):
+def _sample_hitting(fm, window, pat, rng, cap):
     """A Monte Carlo hitting time of a fresh fiber point, from coordinate 1."""
-    return survival._scan_hitting(fm, window, aut, rng, cap, start_state=0,
-                                  first_coord=1)
+    return ledger._first_occurrence(fm, window, pat.symbols, (), rng, cap)
+
+
+def _automaton_walk(fm, window, aut, rng, cap, start_state, first_coord, block):
+    """Reference for the block matcher: the border-automaton walk it
+    replaced, one step per fiber coordinate drawn from ``first_coord`` on,
+    with the same draws in the same blocks (4,096 symbols in a run); the
+    first hit k in [1, cap], or None."""
+    n, delta = aut.n, aut.delta.tolist()
+    state, coord, last = start_state, first_coord, cap + n - 1
+    while coord <= last:
+        end = min(coord + block, last + 1)
+        xs = sample_fiber_prefix(fm, window.shifted(coord), end - coord, rng)
+        for i, x in enumerate(xs.tolist()):
+            state = delta[state][x]
+            if state == n:
+                return coord + i - n + 1
+        coord = end
+    return None
+
+
+def _words(b):
+    """Words of 1-12 symbols, half of them repeating a short period, so
+    that self-overlapping words come up often."""
+    plain = st.lists(st.integers(0, b - 1), min_size=1, max_size=12)
+    periodic = st.tuples(st.lists(st.integers(0, b - 1), min_size=1, max_size=3),
+                         st.integers(1, 12)).map(lambda pr: (pr[0] * 12)[:pr[1]])
+    return st.one_of(plain, periodic)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(2, 3).flatmap(lambda b: st.tuples(st.just(b), _words(b))),
+       cap=st.one_of(st.integers(1, 40), st.integers(4000, 4200), st.integers(1, 9000)),
+       block=st.sampled_from([1, 2, 5, 4096]), returning=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(2, [0]), cap=1, block=4096, returning=False, seed=0)
+@example(case=(2, [1, 1, 1]), cap=4094, block=4096, returning=True, seed=7)
+def test_block_matcher_matches_the_automaton_walk(case, cap, block, returning, seed):
+    b, symbols = case
+    rng = make_rng(seed)
+    s = int(rng.integers(2, 4))
+    fm, proc = random_fiber_measure(rng, s, b), random_base(rng, s)
+    window = sample_window(proc, [seed, 0], 1)
+    pat = Pattern(tuple(symbols), b)
+    aut = build_automaton(pat)
+    head, state, first = ((pat.symbols[1:], aut.border, pat.n) if returning
+                          else ((), 0, 1))
+    walked, draws = make_rng([seed, 1]), make_rng([seed, 1])
+    want = _automaton_walk(fm, window, aut, walked, cap, state, first, block)
+    # short blocks put many block boundaries inside an occurrence
+    with mock.patch.object(ledger, "_SCAN_BLOCK", block):
+        got = ledger._first_occurrence(fm, window, pat.symbols, head, draws, cap)
+    assert got == want
+    # the matcher drew what the walk drew, so a later draw is the same too
+    assert draws.random() == walked.random()
 
 
 def test_sample_hitting_geometric_case():
@@ -298,8 +355,8 @@ def test_sample_hitting_geometric_case():
     proc = BaseProcess.bernoulli([0.5, 0.5])
     win = sample_window(proc, seed=4, length=10)
     rng = make_rng(40)
-    aut = build_automaton(Pattern((0,), 2))
-    hits = sum(_sample_hitting(fm, win, aut, rng, 10**4) == 1 for _ in range(10**4))
+    pat = Pattern((0,), 2)
+    hits = sum(_sample_hitting(fm, win, pat, rng, 10**4) == 1 for _ in range(10**4))
     sigma = math.sqrt(0.999 * 0.001 / 10**4)
     assert abs(hits / 10**4 - 0.999) < 3 * sigma
 
@@ -308,7 +365,7 @@ def test_sample_hitting_censored_never_raises(coin_pair):
     proc, fm = coin_pair
     win = sample_window(proc, seed=5, length=10)
     pat = Pattern((0,) * 8, 2)
-    out = _sample_hitting(fm, win, build_automaton(pat), make_rng(1), 3)
+    out = _sample_hitting(fm, win, pat, make_rng(1), 3)
     assert out is None or 1 <= out <= 3
 
 
@@ -319,8 +376,8 @@ def test_sample_hitting_empirical_cdf_matches_exact(coin_pair):
     win = sample_window(proc, seed=6, length=k_max + pat.n + 1)
     exact = quenched_survival(fm, win, pat, k_max=k_max)
     trials = 10**4
-    rng, aut = make_rng(60), build_automaton(pat)
-    taus = np.array([_sample_hitting(fm, win, aut, rng, k_max) or (k_max + 1)
+    rng = make_rng(60)
+    taus = np.array([_sample_hitting(fm, win, pat, rng, k_max) or (k_max + 1)
                      for _ in range(trials)])
     emp = np.array([(taus > k).mean() for k in range(k_max + 1)])
     assert np.max(np.abs(emp - exact.values)) < 1.36 / math.sqrt(trials) * 1.5
