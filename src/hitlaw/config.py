@@ -24,6 +24,7 @@ import numpy as np
 from .base_process import BaseProcess
 from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS
 from .fiber import FiberMeasure, _check_base_alphabet, _is_binary_symmetric
+from .ledger import JMAX_FACTOR
 from .stats import _check_t_grid
 
 EXPERIMENT_KINDS = ("quenched_shift", "annealed_shift", "ledger", "entropy",
@@ -194,8 +195,8 @@ def _parse(tree: dict) -> tuple:
                        rule=_check_t_grid)
         if kind == "ledger" and t_grid and t_grid[0] <= 0:
             v.append("sweep.t: ledger needs strictly positive t values")
-    jmax_factor = _section(tree, "ledger", v).get("jmax_factor", 4)
-    # compute_ledger needs jmax = jmax_factor * k to cover k, hence g <= k
+    jmax_factor = _section(tree, "ledger", v).get("jmax_factor", JMAX_FACTOR)
+    # ledger_checkpoints needs jmax = jmax_factor * k to cover k, hence g <= k
     if not _is_int(jmax_factor) or jmax_factor < 1:
         v.append("ledger.jmax_factor: must be an integer >= 1")
 

@@ -248,39 +248,35 @@ def _shift_chunk(args):
     """Exact rescaled survival of a chunk of one word length in one kernel
     call: per key ``("ok", (n, key), (ks, values))``, or a truncation marker
     when its word is priced over the budget, n states times k(t_max) + n - 1
-    reads per column (none at k(t_max) = 0), before its window is drawn.  A
-    quenched key is a seed with its own word and window; an annealed key is
-    a window of the run's one word, which every chunk draws and prices at all
-    ``cfg.trials`` windows, so that the parent never samples and every chunk
-    prices it alike."""
+    reads per column (none at k(t_max) = 0), before its windows are drawn.
+    A group (label, word, price multiplier, (key, noise key) columns) holds
+    one word, whose k(t) row is computed once: a quenched seed with its own
+    word and window, or a chunk of windows of an annealed run's one word,
+    which every chunk draws and prices alike, at all ``cfg.trials``
+    windows, so that the parent never samples."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
-        columns = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n),
-                    [seed, 0]) for seed in keys]
-        copies = 1
+        groups = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n), 1,
+                   [(seed, [seed, 0])]) for seed in keys]
     else:
-        pat = _draw_pattern(cfg, cfg.seeds[0], n)
-        columns = [(f"annealed n={n}", pat, [cfg.seeds[0], 0, w]) for w in keys]
-        copies = cfg.trials
-    mus, outcomes, live = {}, [], []
-    for key, (label, pat, noise) in zip(keys, columns):
-        if pat not in mus:
-            mus[pat] = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
-        k = _rescaled_k(cfg.t_grid[-1], mus[pat])
-        price = copies * n * (k + n - 1) if k else 0
+        groups = [(f"annealed n={n}", _draw_pattern(cfg, cfg.seeds[0], n), cfg.trials,
+                   [(w, [cfg.seeds[0], 0, w]) for w in keys])]
+    outcomes, live = [], []
+    for label, pat, copies, columns in groups:
+        mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
+        ks = [_rescaled_k(t, mu) for t in cfg.t_grid]
+        price = copies * n * (ks[-1] + n - 1) if ks[-1] else 0
         marker = _over_budget(label, price, cfg.operation_budget)
         if marker:
             outcomes.append(("truncated", marker))
         else:
-            live.append((key, pat, sample_window(cfg.base, noise, n)))
+            live.append((pat, ks, columns, [sample_window(cfg.base, noise, n)
+                                            for _, noise in columns]))
     if live:
-        keys, pats, windows = zip(*live)
-        # the records follow the word: one row of k(t) per distinct word
-        ks = {pat: np.array([_rescaled_k(t, mus[pat]) for t in cfg.t_grid],
-                            dtype=np.int64) for pat in pats}
-        values = _windows_survival(cfg.fiber, pats, windows, np.stack(list(ks.values())))
-        outcomes += [("ok", (n, key), (ks[pat], v))
-                     for key, pat, v in zip(keys, pats, values)]
+        pats, ks, columns, windows = zip(*live)
+        values = iter(_windows_survival(cfg.fiber, pats, ks, windows))
+        outcomes += [("ok", (n, key), (row, next(values)))
+                     for row, group in zip(ks, columns) for key, _ in group]
     return outcomes
 
 

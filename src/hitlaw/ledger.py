@@ -40,9 +40,12 @@ from .survival import (_lockstep, build_automaton, full_step_matrices,
                        masked_arrival_matrices, masked_step_matrices)
 
 _TOL = 1e-12
+# jmax = JMAX_FACTOR k unless a caller or a run's ledger.jmax_factor sets it
+JMAX_FACTOR = 4
 # Coordinates per block of the ledger sweep: 32 ran faster than 8 or 16.
 _SWEEP_BLOCK = 32
-# OpenBLAS runs a gemm of m n k <= 2^18 on one thread; so do the sweep's chains
+# A chunk of chains stacks m n k <= 2^18 in one product: this bounds the
+# sweep's memory, and OpenBLAS runs such a gemm on one thread
 _CHAIN_GEMM = 2**18
 
 
@@ -189,11 +192,11 @@ def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     entry = np.zeros((k + g + 1, 3, n + 1))
     s_V = np.tile(np.eye(n)[0], (k + g + 1, 1))
     _lockstep(masked_step_matrices(fm, aut),
-              _column_symbols(symbols, 1, k + g + 1, n - 1), s_V, [n - 1])
+              [_column_symbols(symbols, 1, k + g + 1, n - 1)], s_V, [n - 1])
     entry[:, 0, :n] = s_V
     entry[1:k + 1, 1, aut.border] = 1.0
     h_V = np.tile(np.eye(n + 1)[n], (k, 1))
-    _lockstep(full_step_matrices(fm, aut), _column_symbols(symbols, n + 1, k, g),
+    _lockstep(full_step_matrices(fm, aut), [_column_symbols(symbols, n + 1, k, g)],
               h_V, [g])
     entry[g + 1:, 2] = h_V
 
@@ -292,7 +295,7 @@ def entrance_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int,
     mu = _cylinder_measures(fm, symbols, pat, offsets)
     aut = build_automaton(pat)
     masses = _lockstep(masked_step_matrices(fm, aut),
-                       _column_symbols(symbols, n + 1, k, g),
+                       [_column_symbols(symbols, n + 1, k, g)],
                        np.tile(np.eye(n)[aut.border], (k, 1)), [g])
     return math.fsum(mu * (1.0 - masses[0]))
 
@@ -304,18 +307,14 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     cylinder of ``pat`` at horizon t with gap g.
 
     k = floor(t / mu(A)) with mu(A) the noise-averaged cylinder measure;
-    requires 1 <= g <= k, and jmax defaults to 4k.  The recursions read
-    noise symbols 0 .. k + g + jmax + n - 1, drawing those the window lacks,
-    and cost column-reads times automaton states as priced by
-    ``_ledger_price``; a run truncates a ledger priced over its budget
-    before calling this.
+    requires 1 <= g <= k <= jmax, and jmax defaults to JMAX_FACTOR k.  The
+    recursions read noise symbols 0 .. k + g + jmax + n - 1, drawing those
+    the window lacks, and cost column-reads times automaton states as
+    priced by ``_ledger_price``; a run truncates a ledger priced over its
+    budget before calling this.
     """
     k = _horizon(fm, proc, pat, t)
-    if not 1 <= g <= k:
-        raise ValueError(f"need 1 <= g <= k; got g={g}, k={k}")
-    jmax = 4 * k if jmax is None else jmax
-    if jmax < max(k, g):
-        raise ValueError("jmax must cover both k and g")
+    jmax = JMAX_FACTOR * k if jmax is None else jmax
     return ledger_checkpoints(fm, window, pat, g, [(t, k, jmax)])[0]
 
 
@@ -324,8 +323,15 @@ def ledger_checkpoints(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     """The :func:`compute_ledger` result at each checkpoint (t, k, jmax),
     ascending in k and jmax, each with 1 <= g <= k <= jmax, from one sweep
     at the last: the ledgers of one word, window and gap at several t."""
-    terms = _delta_terms(fm, window, pat,
-                         [(k, jmax) for _, k, jmax in checkpoints], g)
+    kj = [(k, jmax) for _, k, jmax in checkpoints]
+    for k, jmax in kj:
+        if not 1 <= g <= k:
+            raise ValueError(f"need 1 <= g <= k; got g={g}, k={k}")
+        if jmax < k:
+            raise ValueError("jmax must cover both k and g")
+    if any(a > b for pair in zip(kj, kj[1:]) for a, b in zip(*pair)):
+        raise ValueError("checkpoints must ascend in k and jmax")
+    terms = _delta_terms(fm, window, pat, kj, g)
     ledgers = []
     for (t, k, jmax), (mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup) in zip(
             checkpoints, terms):

@@ -113,29 +113,29 @@ def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     return np.where(reads >= 4 * s ** length, length, 1)
 
 
-def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
-              block: int | None = None, words=0) -> np.ndarray:
+def _lockstep(mats: np.ndarray, syms, V: np.ndarray, record,
+              block: int | None = None) -> np.ndarray:
     """Advance a (columns, states) block ``V`` of automaton distributions in
-    place, in lockstep over the reads of the (columns, reads) ``sym``: read
-    r of column c applies ``mats[sym[c, r-1]]``.  Returns column masses,
-    one row per record.
+    place, in lockstep over the reads of ``syms``, one (columns, reads)
+    block per word holding the next rows of ``V``: read r of a column of
+    word w applies ``mats[w][sym[r-1]]``.  Returns column masses, one row
+    per record.
 
-    ``mats`` stacks one word's (s, states, states) matrices per word, column
-    c on word ``words[c]``.  Masses are recorded at the nondecreasing read
-    counts of ``record``, one row per word or one row for all words, and
-    each column stops at its word's last record, so rows of ``sym`` may be
-    padded.  Each word has one schedule, which is its one-column call's: L
-    from its read count (``block`` overrides it), and between records first
-    the L-read blocks, through the word's table of s**L products, then the
-    single reads.  Identity steps pad each stretch to the longest word's,
-    so one step is one gather from the tables and one batched product.  An
-    identity step is exact and each column gets its own product, so a
-    column's values are bit-identical to its one-column call.  Masses after
-    every read, as the ledger's suprema need, come from ``ledger._sweep``.
+    ``mats`` stacks the words' (s, states, states) matrices, or is one
+    word's.  Masses are recorded at the nondecreasing read counts of
+    ``record``, one row per word or one row for all, and a word's block is
+    read through its last record.  Each word has one schedule, its
+    one-column call's: L from its read count (``block`` overrides it), and
+    between records first the L-read blocks, through the word's table of
+    s**L products, then the single reads.  Identity steps pad each stretch
+    to the longest word's, so one step is one gather from the tables and
+    one batched product.  An identity step is exact and each column gets
+    its own product, so a column's values are bit-identical to its
+    one-column call.  Masses after every read, as the ledger's suprema
+    need, come from ``ledger._sweep``.
     """
     mats = mats[np.newaxis] if mats.ndim == 3 else mats
     s, states = mats.shape[1:3]
-    words = np.broadcast_to(words, len(sym))
     record = np.broadcast_to(np.asarray(record, dtype=np.int64),
                              (len(mats), np.shape(record)[-1]))
     reads = record[:, -1]
@@ -150,11 +150,9 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
     first = np.cumsum([0, *s ** length + s]).tolist()
     table = np.empty((first[-1] + 1, states, states))
     table[-1] = np.eye(states)
-    idx = np.full((offset[-1], len(sym)), first[-1], np.min_scalar_type(first[-1]))
-    for w, L in enumerate(length.tolist()):
-        cols = np.flatnonzero(words == w)
-        if not cols.size:
-            continue
+    idx = np.full((offset[-1], len(V)), first[-1], np.min_scalar_type(first[-1]))
+    start = np.cumsum([0, *map(len, syms)])   # word w's columns start at start[w]
+    for w, (L, span) in enumerate(zip(length.tolist(), syms)):
         prods = mats[w]
         for _ in range(L - 1):   # code c*s + a: block c, then symbol a
             prods = (mats[w][np.newaxis] @ prods[:, np.newaxis]).reshape(-1, states, states)
@@ -163,20 +161,20 @@ def _lockstep(mats: np.ndarray, sym: np.ndarray, V: np.ndarray, record,
         j = np.arange(seg.size) - (np.cumsum(steps[w]) - steps[w])[seg]   # its place
         # a step's first read: the blocks every L reads, then single reads
         at = bounds[w, seg] + j + (L - 1) * np.minimum(j, jumps[w, seg])
-        # reads gathered along one axis of a view from the word's first row
-        # to its last: three times faster than a (rows, reads) fancy gather;
-        # a strided view (the ledger's) is copied only as far as it is read
-        span = sym[cols[0]:cols[-1] + 1, :reads[w]]
-        code = np.zeros((cols.size, seg.size), dtype=idx.dtype)
+        # reads gathered along one axis: three times faster than a (rows,
+        # reads) fancy gather; a strided view (the ledger's) is copied only
+        # as far as it is read
+        span = span[:, :reads[w]]
+        code = np.zeros((len(span), seg.size), dtype=idx.dtype)
         for pos in np.minimum(at + np.arange(L)[:, np.newaxis], reads[w] - 1):
-            code = code * s + span.take(pos, axis=1)[cols - cols[0]]
+            code = code * s + span.take(pos, axis=1)
         single = j >= jumps[w, seg]
-        code[:, single] = span.take(at[single], axis=1)[cols - cols[0]]
+        code[:, single] = span.take(at[single], axis=1)
         code[:, single] += s ** L
         code += first[w]
-        idx[np.ix_(offset[seg] + j, cols)] = code.T
+        idx[offset[seg] + j, start[w]:start[w + 1]] = code.T
     v = V[:, :, np.newaxis]
-    out = np.empty((record.shape[1], len(sym)))
+    out = np.empty((record.shape[1], len(V)))
     for i in range(record.shape[1]):
         for step in idx[offset[i]:offset[i + 1]]:
             v = np.matmul(table.take(step, axis=0), v)
@@ -193,26 +191,19 @@ def _check_survival(values: np.ndarray) -> None:
         raise ValueError("survival values must be nonincreasing in k")
 
 
-def _windows_survival(fm: FiberMeasure, pats, windows, ks) -> np.ndarray:
-    """Exact P(no occurrence of ``pats[c]`` starts at coordinates 1..k) under
-    ``windows[c]`` at each k of ``ks``, in one kernel call.  ``ks`` holds
-    one nondecreasing row per distinct word, in the order the words first
-    appear in ``pats``, or one row for all; the words share one length.
-    Shape (columns, records)."""
-    words = {pat: i for i, pat in enumerate(dict.fromkeys(pats))}
-    column_words = [words[p] for p in pats]
-    n = pats[0].n
+def _windows_survival(fm: FiberMeasure, words, ks, windows) -> np.ndarray:
+    """Exact P(no occurrence of ``words[w]`` starts at coordinates 1..k)
+    under each window of ``windows[w]`` at each k of row w of ``ks``, one
+    nondecreasing row per word, in one kernel call; the words share one
+    length.  Shape (columns, records), the columns in word order."""
+    n, ks = words[0].n, np.asarray(ks)
     # survival at k is decided after reading coordinates 1 .. k+n-1
-    record = np.broadcast_to(np.where(ks == 0, 0, ks + n - 1),
-                             (len(words), np.shape(ks)[-1]))
-    rows = [window.prefix(int(record[w, -1]) + 1)[1:]
-            for window, w in zip(windows, column_words)]
-    sym = np.zeros((len(rows), record[:, -1].max()), dtype=rows[0].dtype)
-    for row, symbols in zip(sym, rows):
-        row[:symbols.size] = symbols
+    record = np.where(ks == 0, 0, ks + n - 1)
+    syms = [np.stack([window.prefix(last + 1)[1:] for window in group])
+            for group, last in zip(windows, record[:, -1].tolist())]
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in words])
-    values = _lockstep(mats, sym, np.tile(np.eye(n)[0], (len(rows), 1)), record,
-                       words=column_words).T
+    V = np.tile(np.eye(n)[0], (sum(map(len, syms)), 1))
+    values = _lockstep(mats, syms, V, record).T
     _check_survival(values)
     return values
 
@@ -255,7 +246,7 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     offset .. offset + k_max + n - 1, drawing those the window lacks.
     """
     grid = _curve_grid(fm, pat, offset, k_max)
-    values = _windows_survival(fm, [pat], [window.shifted(offset)], grid)[0]
+    values = _windows_survival(fm, [pat], [grid], [[window.shifted(offset)]])[0]
     return SurvivalCurve(k_grid=grid, values=values)
 
 
@@ -274,7 +265,7 @@ def conditional_return_survival(fm: FiberMeasure, window: BaseWindow, pat: Patte
     weight = fiber_cylinder_measure(fm, window, pat, offset)
     aut = build_automaton(pat)
     symbols = window.prefix(offset + n + k_max)[offset + n:]
-    values = weight * _lockstep(masked_step_matrices(fm, aut), symbols[np.newaxis],
+    values = weight * _lockstep(masked_step_matrices(fm, aut), [symbols[np.newaxis]],
                                 np.eye(n)[[aut.border]], grid)[:, 0]
     return SurvivalCurve(k_grid=grid, values=values)
 
@@ -294,6 +285,6 @@ def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     t = _check_t_grid(t_grid)
     mu_a = marginal_cylinder_measure(fm, proc, pat)
     ks = np.array([_rescaled_k(ti, mu_a) for ti in t], dtype=np.int64)
-    values = _windows_survival(fm, [pat], [window], ks)[0]
+    values = _windows_survival(fm, [pat], [ks], [[window]])[0]
     return RescaledCurve(t_grid=t, k_values=ks, values=values)
 

@@ -45,7 +45,7 @@ def test_quenched_start_matches_enumeration(case):
     V[:, 0] = 1.0
     record = np.where(grid == 0, 0, grid + n - 1)
     got = _lockstep(masked_step_matrices(fm, build_automaton(pat)),
-                    rows[:, 1:int(record[-1]) + 1], V, record, block=block)
+                    [rows[:, 1:int(record[-1]) + 1]], V, record, block=block)
     for c, syms in enumerate(rows):
         want = oracle_enum.enum_quenched_survival(fm.W, syms, pat.symbols, 0,
                                                   int(grid[-1]))
@@ -60,7 +60,7 @@ def test_conditional_start_matches_enumeration(case):
     aut = build_automaton(pat)
     V = np.zeros((rows.shape[0], n))
     V[:, aut.border] = 1.0
-    got = _lockstep(masked_step_matrices(fm, aut), rows[:, n:n + int(grid[-1])],
+    got = _lockstep(masked_step_matrices(fm, aut), [rows[:, n:n + int(grid[-1])]],
                     V, grid, block=block)
     for c, syms in enumerate(rows):
         weight = np.prod(fm.W[syms[:n], list(pat.symbols)])
@@ -81,7 +81,7 @@ def test_block_mode_matches_a_read_by_read_loop(columns):
     v0 /= v0.sum(axis=1, keepdims=True)
     record = np.array([0, 1, 7, 8, 9, 1023, 1024, 5001, 12_345, 19_999, reads])
     block_V = v0.copy()
-    blocked = _lockstep(mats, sym, block_V, record)
+    blocked = _lockstep(mats, [sym], block_V, record)
     # the reference: one matrix-vector product per column and read
     v = v0[:, :, np.newaxis]
     per_read = np.empty((reads, columns))
@@ -96,8 +96,9 @@ def test_block_mode_matches_a_read_by_read_loop(columns):
 
 def test_block_mode_columns_do_not_depend_on_companions():
     # three words on seven columns with their own records (repeats
-    # included) in one padded array; each column stops at its word's last
-    # record.  Words 0 and 1 share their last record; their five columns
+    # included), column c on word c % 3, one block of columns a word; each
+    # block stops at its word's last record, so word 2's rows are read only
+    # in part.  Words 0 and 1 share their last record; their five columns
     # read 4 * 3**5 or more and take blocks of 5, word 2's take single reads
     rng = make_rng(12)
     fm = random_fiber_measure(rng, 3, 2)
@@ -107,17 +108,18 @@ def test_block_mode_columns_do_not_depend_on_companions():
     sym = rng.integers(0, 3, size=(7, 2_000)).astype(np.uint8)
     record = np.array([[0, 3, 500, 1_001, 2_000], [1, 1, 7, 1_998, 2_000],
                        [0, 10, 10, 480, 499]])
-    words = [c % 3 for c in range(7)]
+    order = [c for w in range(3) for c in range(w, 7, 3)]   # columns by word
     batch = np.zeros((7, pats[0].n))
     batch[:, 0] = 1.0
-    together = _lockstep(mats, sym, batch, record, words=words)
-    for c, w in enumerate(words):
+    together = _lockstep(mats, [sym[w::3] for w in range(3)], batch, record)
+    for i, c in enumerate(order):
+        w = c % 3
         alone = np.zeros((1, pats[0].n))
         alone[0, 0] = 1.0
         row = sym[c:c + 1, :record[w, -1]]
-        assert np.array_equal(_lockstep(mats[w], row, alone, record[w])[:, 0],
-                              together[:, c])
-        assert np.array_equal(alone[0], batch[c])
+        assert np.array_equal(_lockstep(mats[w], [row], alone, record[w])[:, 0],
+                              together[:, i])
+        assert np.array_equal(alone[0], batch[i])
 
 
 @st.composite
@@ -153,20 +155,23 @@ def test_per_word_records_match_one_column_calls(case):
     n = pats[0].n
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in pats])
     records = np.where(word_ks == 0, 0, word_ks + n - 1)
-    sym = np.zeros((len(columns), 16), dtype=np.int64)   # padded rows
-    for c, (w, row) in enumerate(columns):
-        sym[c, :records[w, -1]] = row[1:records[w, -1] + 1]
-    words = [w for w, _ in columns]
+    # one block a word, its columns in their drawn order; a word with no
+    # column has an empty block
+    order = sorted(range(len(columns)), key=lambda c: columns[c][0])
+    syms = [np.zeros((0, last), dtype=np.int64) for last in records[:, -1]]
+    for w, row in columns:
+        syms[w] = np.vstack([syms[w], row[1:records[w, -1] + 1]])
     V = np.tile(np.eye(n)[0], (len(columns), 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(survival, "_BLOCK_CODES", 4)
-        together = _lockstep(mats, sym, V, records, words=words)
-        for c, (w, row) in enumerate(columns):
+        together = _lockstep(mats, syms, V, records)
+        for i, c in enumerate(order):
+            w, row = columns[c]
             alone_V = np.eye(n)[[0]]
-            alone = _lockstep(mats[w], sym[c:c + 1, :records[w, -1]], alone_V,
-                              records[w])
-            assert np.array_equal(alone[:, 0], together[:, c])
-            assert np.array_equal(alone_V[0], V[c])
+            alone = _lockstep(mats[w], [row[np.newaxis, 1:records[w, -1] + 1]],
+                              alone_V, records[w])
+            assert np.array_equal(alone[:, 0], together[:, i])
+            assert np.array_equal(alone_V[0], V[i])
             want = oracle_enum.enum_quenched_survival(fm.W, row, pats[w].symbols,
                                                       0, int(word_ks[w, -1]))
-            assert np.max(np.abs(together[:, c] - want[word_ks[w]])) < 1e-12
+            assert np.max(np.abs(together[:, i] - want[word_ks[w]])) < 1e-12

@@ -237,9 +237,9 @@ def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     reads = []
     kernel, sweep = ledger._lockstep, ledger._sweep
 
-    def counting(mats, sym, V, record):
-        reads.append(len(sym) * record[-1] * V.shape[1])
-        return kernel(mats, sym, V, record)
+    def counting(mats, syms, V, record):
+        reads.append(sum(len(sym) * record[-1] for sym in syms) * V.shape[1])
+        return kernel(mats, syms, V, record)
 
     def counting_sweep(mats, symbols, first, entry, jmax):
         columns = entry.any(axis=2).sum(axis=0)   # per family
@@ -254,6 +254,20 @@ def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     assert _over_budget("item", 2978, 2977) == \
         "item: needs 2978 column-state reads, over the budget 2977"
     assert _ledger_price(8, 512, 2, 2048) == 26301608
+
+
+def test_ledger_checkpoints_refuse_out_of_contract_input(coin_pair):
+    # a checkpoint needs 1 <= g <= k <= jmax, and checkpoints ascend in k
+    # and jmax; the fair-coin marginal gives k = 8 at t = 0.5 for n = 4
+    _, fm = coin_pair
+    window = sample_window(BaseProcess.bernoulli([0.5, 0.5]), 3, 1)
+    pat = Pattern((0, 1, 1, 0), 2)
+    with pytest.raises(ValueError, match="need 1 <= g <= k; got g=20, k=8"):
+        ledger_checkpoints(fm, window, pat, 20, [(0.5, 8, 32)])
+    with pytest.raises(ValueError, match="checkpoints must ascend"):
+        ledger_checkpoints(fm, window, pat, 2, [(1.0, 16, 64), (0.5, 8, 32)])
+    with pytest.raises(ValueError, match="jmax must cover both k and g"):
+        ledger_checkpoints(fm, window, pat, 2, [(0.5, 8, 4)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,10 +402,10 @@ def test_sweep_matches_per_offset_curves(case):
     syms = window.prefix(k + g + jmax + n)
     for i in offsets:
         V = np.eye(n + 1)[[n]]
-        _lockstep(full_step_matrices(fm, aut), syms[np.newaxis, i + n:i + n + g],
+        _lockstep(full_step_matrices(fm, aut), [syms[np.newaxis, i + n:i + n + g]],
                   V, [g])
         masses = _lockstep(masked_arrival_matrices(fm, aut),
-                           syms[np.newaxis, i + n + g:i + n + g + jmax], V,
+                           [syms[np.newaxis, i + n + g:i + n + g + jmax]], V,
                            np.arange(1, jmax + 1))[:, 0]
         assert abs(h[i - 1] - np.abs(masses - S[i + g][1:]).max()) < 1e-12
 

@@ -14,7 +14,7 @@ from conftest import random_base, random_fiber_measure
 from hitlaw import ledger, survival
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.config import build_config
-from hitlaw.experiments import _draw_pattern, run_experiment
+from hitlaw.experiments import _draw_pattern, _shift_items, run_experiment
 from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           sample_fiber_prefix)
 from hitlaw.survival import (SurvivalCurve, build_automaton,
@@ -209,10 +209,10 @@ def _fair_run(tmp_path, monkeypatch, name, **overrides):
     reads = []
     kernel = survival._lockstep
 
-    def counting(mats, sym, V, record, **kw):
-        reads.append(int(np.broadcast_to(record, (len(sym), np.shape(record)[-1]))
-                         [:, -1].sum()) * V.shape[1])
-        return kernel(mats, sym, V, record, **kw)
+    def counting(mats, syms, V, record, **kw):
+        last = np.broadcast_to(record, (len(syms), np.shape(record)[-1]))[:, -1]
+        reads.append(sum(len(sym) * int(r) for sym, r in zip(syms, last)) * V.shape[1])
+        return kernel(mats, syms, V, record, **kw)
     monkeypatch.setattr(survival, "_lockstep", counting)
     tree = {"experiment": "quenched_shift", "seeds": [1], "threads": 1,
             "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
@@ -288,6 +288,31 @@ def test_annealed_survival_degenerate_and_zero_variance(coin_pair, tmp_path):
             assert mean == pytest.approx(curves.mean(axis=0).tolist(), rel=1e-12)
             assert mean[0] == 1.0
             assert float(rows[0]["stderr"]) == 0.0
+
+
+def test_quenched_chunk_pairs_each_seed_with_its_word_and_horizon(tmp_path):
+    # four seeds in one chunk at one worker, on a Markov base, where words
+    # of one length differ in marginal measure and so in k(t): each seed's
+    # column is its own library curve, bit for bit, whatever its companions
+    cfg = build_config({
+        "experiment": "quenched_shift", "seeds": [3, 4, 5, 6], "threads": 1,
+        "base": {"kind": "markov", "transition": [[0.7, 0.3], [0.4, 0.6]]},
+        "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
+        "sweep": {"n": [8], "t": [0.0, 0.5, 1.5, 3.0, 5.0]}})
+    assert len(_shift_items(cfg)) == 1
+    run_experiment(cfg, str(tmp_path))
+    with open(tmp_path / "survival_n8.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    horizons = set()
+    for seed in cfg.seeds:
+        mine = [row for row in rows if row["seed"] == str(seed)]
+        curve = rescaled_survival(cfg.fiber, cfg.base,
+                                  sample_window(cfg.base, [seed, 0], 8),
+                                  _draw_pattern(cfg, seed, 8), cfg.t_grid)
+        assert [int(row["k"]) for row in mine] == curve.k_values.tolist()
+        assert [float(row["survival"]) for row in mine] == curve.values.tolist()
+        horizons.add(int(curve.k_values[-1]))
+    assert len(horizons) == len(cfg.seeds)
 
 
 def _sample_hitting(fm, window, pat, rng, cap):
