@@ -14,9 +14,10 @@ results are merged in item order, so the emitted bytes do not depend on the
 worker count.
 Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
-of columns of one word length, each chunk one kernel call, and quenched
-chunks are sized by kernel table bytes (``_shift_items``); every column's
-curve is bit-identical however the columns are chunked.  A ledger item is
+of columns of one word length, one chunk per worker as singularity splits
+its draws (``_chunks``); it cuts a chunk into kernel calls of at most
+``_CALL_PRICE`` reads, and every column's curve is bit-identical however
+the columns are chunked or cut.  A ledger item is
 one (n, seed), whose t's share one sweep per gap (``_ledger_item``); items
 go out heaviest word length first.  Each exact item is priced in
 column-state reads before it draws its noise, and one priced over
@@ -47,7 +48,7 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (_ledger_price, entropy_slopes, gap_schedule,
                      ledger_checkpoints, verify_sandwich)
 from .stats import _rescaled_k, ks_to_exponential, trend_report
-from .survival import _table_bytes, _windows_survival
+from .survival import _windows_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -165,31 +166,21 @@ def _items(cfg: ExperimentConfig, *grids) -> list:
     return [(cfg, *key) for key in itertools.product(*grids)]
 
 
-def _chunks(keys, pieces: int) -> list:
-    """``keys`` (a range or tuple) as min(pieces, len(keys)) contiguous
-    chunks.  Each key keeps its own noise keys, and the kernel treats its
-    columns independently, so the split changes no value."""
-    pieces = min(pieces, len(keys))
+def _chunks(cfg: ExperimentConfig, keys) -> list:
+    """``keys`` (a range or tuple) as one contiguous chunk per worker, and
+    at most one per key.  Each key keeps its own noise keys, and the kernel
+    treats its columns independently, so the split changes no value."""
+    pieces = min(_workers(cfg.threads), len(keys))
     bounds = [len(keys) * i // pieces for i in range(pieces + 1)]
     return [keys[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-# Kernel table bytes a quenched chunk aims at, so that a worker's memory does
-# not grow with the seed count; one word's table (``_table_bytes``) is at most
-# 0.4 MB at n=14
-_CHUNK_TABLE_BYTES = 3 * 2**20
-
-
 def _shift_items(cfg: ExperimentConfig) -> list:
-    """Chunks ``(cfg, n, keys)`` of one word length: annealed windows in one
-    chunk per worker, quenched seeds in max(workers, ceil(seeds x table
-    bytes / _CHUNK_TABLE_BYTES)) chunks."""
-    workers = _workers(cfg.threads)
-    if cfg.experiment == "annealed_shift":
-        return _items(cfg, cfg.n_grid, _chunks(range(cfg.trials), workers))
-    s = cfg.base.alphabet_size
-    return [(cfg, n, keys) for n in cfg.n_grid for keys in _chunks(cfg.seeds, max(
-        workers, math.ceil(len(cfg.seeds) * _table_bytes(s, n) / _CHUNK_TABLE_BYTES)))]
+    """Chunks ``(cfg, n, keys)`` of one word length, one per worker:
+    quenched seeds or annealed windows; ``_shift_chunk`` cuts a chunk into
+    kernel calls."""
+    keys = cfg.seeds if cfg.experiment == "quenched_shift" else range(cfg.trials)
+    return _items(cfg, cfg.n_grid, _chunks(cfg, keys))
 
 
 def _draw_pattern(cfg: ExperimentConfig, seed, n: int) -> Pattern:
@@ -244,16 +235,24 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 # quenched_shift and annealed_shift
 
 
+# Column-state reads one kernel call runs at most: the smallest power of two
+# that runs every chunk of the shipped configs in one call, as a call pays a
+# fixed cost per step (measurements in the README)
+_CALL_PRICE = 2**26
+
+
 def _shift_chunk(args):
-    """Exact rescaled survival of a chunk of one word length in one kernel
-    call: per key ``("ok", (n, key), (ks, values))``, or a truncation marker
-    when its word is priced over the budget, n states times k(t_max) + n - 1
-    reads per column (none at k(t_max) = 0), before its windows are drawn.
+    """Exact rescaled survival of a chunk of one word length: per key
+    ``("ok", (n, key), (ks, values))``, or a truncation marker when its word
+    is priced over the budget, n states times k(t_max) + n - 1 reads per
+    column (none at k(t_max) = 0), before its windows are drawn.
     A group (label, word, price multiplier, (key, noise key) columns) holds
     one word, whose k(t) row is computed once: a quenched seed with its own
     word and window, or a chunk of windows of an annealed run's one word,
     which every chunk draws and prices alike, at all ``cfg.trials``
-    windows, so that the parent never samples."""
+    windows, so that the parent never samples.  The admitted columns go in
+    order into kernel calls of at most ``_CALL_PRICE`` reads, a column
+    priced over it alone, and each call draws its windows just before it."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
         groups = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n), 1,
@@ -261,19 +260,27 @@ def _shift_chunk(args):
     else:
         groups = [(f"annealed n={n}", _draw_pattern(cfg, cfg.seeds[0], n), cfg.trials,
                    [(w, [cfg.seeds[0], 0, w]) for w in keys])]
-    outcomes, live = [], []
+    outcomes, calls, cost = [], [], math.inf
     for label, pat, copies, columns in groups:
         mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
         ks = [_rescaled_k(t, mu) for t in cfg.t_grid]
-        price = copies * n * (ks[-1] + n - 1) if ks[-1] else 0
-        marker = _over_budget(label, price, cfg.operation_budget)
+        price = n * (ks[-1] + n - 1) if ks[-1] else 0
+        marker = _over_budget(label, copies * price, cfg.operation_budget)
         if marker:
             outcomes.append(("truncated", marker))
-        else:
-            live.append((pat, ks, columns, [sample_window(cfg.base, noise, n)
-                                            for _, noise in columns]))
-    if live:
-        pats, ks, columns, windows = zip(*live)
+            continue
+        for column in columns:
+            if cost + price > _CALL_PRICE:
+                calls.append([])
+                cost = 0
+            if not calls[-1] or calls[-1][-1][0] is not pat:
+                calls[-1].append((pat, ks, []))
+            calls[-1][-1][2].append(column)
+            cost += price
+    for call in calls:
+        pats, ks, columns = zip(*call)
+        windows = [[sample_window(cfg.base, noise, n) for _, noise in group]
+                   for group in columns]
         values = iter(_windows_survival(cfg.fiber, pats, ks, windows))
         outcomes += [("ok", (n, key), (row, next(values)))
                      for row, group in zip(ks, columns) for key, _ in group]
@@ -485,8 +492,7 @@ KINDS = {
                 _entropy_item, _reduce_entropy),
     "circle_law": (lambda cfg: _items(cfg, cfg.r_grid, cfg.seeds),
                    _circle_item, _reduce_circle),
-    "singularity": (lambda cfg: _items(cfg, _chunks(range(cfg.trials),
-                                                    _workers(cfg.threads))),
+    "singularity": (lambda cfg: _items(cfg, _chunks(cfg, range(cfg.trials))),
                     _singularity_chunk, _reduce_singularity),
 }
 

@@ -100,12 +100,6 @@ def masked_arrival_matrices(fm: FiberMeasure, aut: PatternAutomaton) -> np.ndarr
 _BLOCK_CODES = 256
 
 
-def _table_bytes(s: int, n: int) -> int:
-    """Bytes that bound one n-letter word's table on s noise symbols: s**L
-    block products, s single-read matrices and the identity, n x n each."""
-    return (_BLOCK_CODES + s + 1) * 8 * n * n
-
-
 def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     length = 1
     while s ** (length + 1) <= _BLOCK_CODES:
