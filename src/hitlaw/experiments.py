@@ -15,8 +15,8 @@ worker count.
 Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
 of columns of one word length, one chunk per worker as singularity splits
-its draws (``_chunks``); it cuts a chunk into kernel calls of at most
-``_CALL_PRICE`` reads, and every column's curve is bit-identical however
+its draws (``_chunks``); it cuts a chunk into kernel calls that hold at
+most ``_CALL_BYTES``, and every column's curve is bit-identical however
 the columns are chunked or cut.  A ledger item is
 one (n, seed), whose t's share one sweep per gap (``_ledger_item``); items
 go out heaviest word length first.  Each exact item is priced in
@@ -48,7 +48,7 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (_ledger_price, entropy_slopes, gap_schedule,
                      ledger_checkpoints, verify_sandwich)
 from .stats import _rescaled_k, ks_to_exponential, trend_report
-from .survival import _windows_survival
+from .survival import _call_bytes, _windows_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -235,10 +235,10 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 # quenched_shift and annealed_shift
 
 
-# Column-state reads one kernel call runs at most: the smallest power of two
-# that runs every chunk of the shipped configs in one call, as a call pays a
-# fixed cost per step (measurements in the README)
-_CALL_PRICE = 2**26
+# Bytes one kernel call holds at most, by ``survival._call_bytes``, so that a
+# worker's memory does not grow with its columns; the widest call shipped
+# before calls were cut held 12.4 MiB (measurements in the README)
+_CALL_BYTES = 16 * 2**20
 
 
 def _shift_chunk(args):
@@ -251,8 +251,9 @@ def _shift_chunk(args):
     word and window, or a chunk of windows of an annealed run's one word,
     which every chunk draws and prices alike, at all ``cfg.trials``
     windows, so that the parent never samples.  The admitted columns go in
-    order into kernel calls of at most ``_CALL_PRICE`` reads, a column
-    priced over it alone, and each call draws its windows just before it."""
+    order into kernel calls that hold at most ``_CALL_BYTES``, each word's
+    table counted once a call and a column over it alone, and each call
+    draws its windows just before it."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
         groups = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n), 1,
@@ -260,23 +261,26 @@ def _shift_chunk(args):
     else:
         groups = [(f"annealed n={n}", _draw_pattern(cfg, cfg.seeds[0], n), cfg.trials,
                    [(w, [cfg.seeds[0], 0, w]) for w in keys])]
-    outcomes, calls, cost = [], [], math.inf
+    outcomes, calls, held = [], [], math.inf
     for label, pat, copies, columns in groups:
         mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
         ks = [_rescaled_k(t, mu) for t in cfg.t_grid]
-        price = n * (ks[-1] + n - 1) if ks[-1] else 0
-        marker = _over_budget(label, copies * price, cfg.operation_budget)
+        price = copies * n * (ks[-1] + n - 1) if ks[-1] else 0
+        marker = _over_budget(label, price, cfg.operation_budget)
         if marker:
             outcomes.append(("truncated", marker))
             continue
+        table, column_bytes = _call_bytes(cfg.base.alphabet_size, n, ks)
         for column in columns:
-            if cost + price > _CALL_PRICE:
+            opens = not calls or calls[-1][-1][0] is not pat
+            if held + column_bytes + table * opens > _CALL_BYTES:
                 calls.append([])
-                cost = 0
-            if not calls[-1] or calls[-1][-1][0] is not pat:
+                held, opens = 0, True
+            if opens:
                 calls[-1].append((pat, ks, []))
+                held += table
             calls[-1][-1][2].append(column)
-            cost += price
+            held += column_bytes
     for call in calls:
         pats, ks, columns = zip(*call)
         windows = [[sample_window(cfg.base, noise, n) for _, noise in group]

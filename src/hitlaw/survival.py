@@ -107,6 +107,21 @@ def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     return np.where(reads >= 4 * s ** length, length, 1)
 
 
+def _call_bytes(s: int, n: int, ks) -> tuple:
+    """Bytes a ``_windows_survival`` call holds for an n-letter word on s
+    noise symbols with k row ``ks``, (per word, per column): a word's step
+    matrices and table of s**L + s products, n x n doubles each; a column's
+    window (1.4 kB of objects), symbol row, step indices and codes (8 bytes
+    a step) and gathered step matrix.  Calls of 8 MiB and more traced within
+    10% of it, plus up to 2 MiB of temporaries that do not grow with them."""
+    record = [k + n - 1 if k else 0 for k in ks]
+    L = int(_block_length(s, np.asarray(record[-1])))
+    steps = sum(sum(divmod(b - a, L)) for a, b in zip([0, *record], record))
+    symbol = np.min_scalar_type(s - 1).itemsize
+    return ((s ** L + 2 * s) * 8 * n * n,
+            1536 + 2 * symbol * record[-1] + 8 * steps + 8 * n * n)
+
+
 def _lockstep(mats: np.ndarray, syms, V: np.ndarray, record,
               block: int | None = None) -> np.ndarray:
     """Advance a (columns, states) block ``V`` of automaton distributions in

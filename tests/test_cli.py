@@ -318,13 +318,14 @@ def test_shipped_configs_validate():
 
 def test_every_kind_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     from hitlaw import experiments
-    # kernel calls of at most 50,000 column-state reads, in place of the
-    # shipped cap, so that the shift chunks below make several calls each;
-    # forked workers inherit the patch
-    monkeypatch.setattr(experiments, "_CALL_PRICE", 50_000)
+    # kernel calls of at most 10,000 bytes (``survival._call_bytes``) in
+    # place of the shipped cap, so that the shift chunks below make several
+    # calls each; forked workers inherit the patch
+    monkeypatch.setattr(experiments, "_CALL_BYTES", 10_000)
     # 7 windows split into 1, 2 and 3 chunks; n=8 runs long enough for
     # the kernel's block jumps, and both word lengths share one pool; an
-    # n=8 window costs 10,296 reads, so 4 windows make one call
+    # n=4 call takes 3 windows (768 bytes of table, 2,494 a window), and
+    # an n=8 window, over the cap with its 133,120-byte table, runs alone
     annealed = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=7,
                           sweep={"n": [4, 8],
                                  "t": {"start": 0.0, "stop": 5.0, "step": 0.5}})
@@ -337,11 +338,11 @@ def test_every_kind_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     ledger = _tiny_tree(experiment="ledger", seeds=[1, 2, 3],
                         sweep={"n": [2, 4, 8], "t": [0.005, 0.5, 1.0]})
     quenched = _tiny_tree(seeds=[1, 2, 3], sweep={"n": [2, 3, 4], "t": [0.0, 1.0]})
-    # a Markov base gives every word its own mu(A), so the columns of one
-    # call have their own records and pad: the 16 words of n=4 share one
-    # call; at n=10 the budget puts half the seeds over it (10 (k(t_max) +
-    # 9) > 53,000, 4 of 8 in each half), and each admitted seed makes its
-    # own call, two of them priced over the 50,000 cap (50,610 and 52,250)
+    # a Markov base gives every word its own mu(A), so the words of one
+    # call have their own records and pad: at n=4 a call takes about three
+    # words of 3,100-3,400 bytes; at n=10 the budget puts half the seeds
+    # over it (10 (k(t_max) + 9) > 53,000, 4 of 8 in each half), and each
+    # admitted seed, over the cap with its 208,000-byte table, runs alone
     quenched_markov = _tiny_tree(
         seeds=list(range(1, 17)), operation_budget=53_000,
         base={"kind": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
@@ -404,19 +405,24 @@ def test_threads_zero_follows_cpu_affinity(tmp_path, monkeypatch):
 
 
 def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
+    from hitlaw import experiments
     # in process at one worker a chunk holds every window or seed, and the
-    # worker holds one kernel call's tables, symbols and step indices at a
-    # time, so 10 times the columns add at most a call's worth: 32 MiB
-    # covers a call of 58 words at n=14 beyond the 10-seed run's call of
-    # 10.  One call for all windows held 104 MiB more at 2,000 windows
-    # than at 200
+    # worker holds one kernel call's tables, windows, symbols and step
+    # indices at a time, at most ``_CALL_BYTES`` by ``survival._call_bytes``,
+    # so 10 times the columns add less than a call's worth.  One call for
+    # all windows holds 104 MiB more at 2,000 windows than at 200; calls cut
+    # by reads alone hold 183 MiB more at 1,000 short-horizon seeds (a 0.2
+    # MB table each at n=10, few reads) than at 100
     grid = {"start": 0.0, "stop": 5.0, "step": 0.1}
     annealed = _tiny_tree(experiment="annealed_shift", seeds=[0],
                           operation_budget=10**10, sweep={"n": [12], "t": grid})
     quenched = _tiny_tree(operation_budget=10**10, sweep={"n": [14], "t": grid})
+    short = _tiny_tree(operation_budget=10**10,
+                       sweep={"n": [10], "t": [0.0, 0.5, 1.0]})
     for label, tree, key, counts in (
             ("annealed", annealed, "trials", (200, 2_000)),
-            ("quenched", quenched, "seeds", (list(range(10)), list(range(60))))):
+            ("quenched", quenched, "seeds", (list(range(10)), list(range(60)))),
+            ("short", short, "seeds", (list(range(100)), list(range(1_000))))):
         peaks = []
         for count in counts:
             cfg = build_config(dict(tree, **{key: count}))
@@ -426,7 +432,7 @@ def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 32 * 2**20, (label, peaks)
+        assert abs(peaks[1] - peaks[0]) < experiments._CALL_BYTES, (label, peaks)
 
 
 def test_config_hash_ignores_worker_count():
