@@ -15,14 +15,13 @@ worker count.
 Floats are formatted with 17 significant digits, which round-trips doubles
 exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
 of columns of one word length, one chunk per worker as singularity splits
-its draws (``_chunks``); it cuts a chunk into kernel calls that hold at
-most ``_CALL_BYTES``, and every column's curve is bit-identical however
-the columns are chunked or cut.  A ledger item is
-one (n, seed), whose t's share one sweep per gap (``_ledger_item``); items
-go out heaviest word length first.  Each exact item is priced in
-column-state reads before it draws its noise, and one priced over
-``operation_budget`` is truncated (``_over_budget``); a ledger item is
-priced t by t.
+its draws (``_chunks``); the kernel cuts them into its calls, and every
+column's curve is bit-identical however the columns are chunked or cut.
+A ledger item is one (n, seed), whose t's share one sweep per gap
+(``_ledger_item``); items go out heaviest word length first.  Each exact
+item is priced in column-state reads before it draws its noise, and one
+priced over ``operation_budget`` is truncated (``_over_budget``); a ledger
+item is priced t by t.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .fiber import Pattern, density_ratio, marginal_cylinder_measure, sample_fib
 from .ledger import (_ledger_price, entropy_slopes, gap_schedule,
                      ledger_checkpoints, verify_sandwich)
 from .stats import _rescaled_k, ks_to_exponential, trend_report
-from .survival import _call_bytes, _windows_survival
+from .survival import _windows_survival
 
 SURVIVAL_COLUMNS = ("seed", "t", "k", "survival", "exp_minus_t", "abs_err")
 ANNEALED_COLUMNS = ("t", "k", "mean_survival", "stderr", "exp_minus_t", "abs_err")
@@ -235,25 +234,16 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 # quenched_shift and annealed_shift
 
 
-# Bytes one kernel call holds at most, by ``survival._call_bytes``, so that a
-# worker's memory does not grow with its columns; the widest call shipped
-# before calls were cut held 12.4 MiB (measurements in the README)
-_CALL_BYTES = 16 * 2**20
-
-
 def _shift_chunk(args):
     """Exact rescaled survival of a chunk of one word length: per key
     ``("ok", (n, key), (ks, values))``, or a truncation marker when its word
     is priced over the budget, n states times k(t_max) + n - 1 reads per
-    column (none at k(t_max) = 0), before its windows are drawn.
-    A group (label, word, price multiplier, (key, noise key) columns) holds
-    one word, whose k(t) row is computed once: a quenched seed with its own
-    word and window, or a chunk of windows of an annealed run's one word,
-    which every chunk draws and prices alike, at all ``cfg.trials``
-    windows, so that the parent never samples.  The admitted columns go in
-    order into kernel calls that hold at most ``_CALL_BYTES``, each word's
-    table counted once a call and a column over it alone, and each call
-    draws its windows just before it."""
+    column (none at k(t_max) = 0), before its windows are drawn.  A group
+    (label, word, price multiplier, (key, noise key) columns) holds one word
+    and its k(t) row: a quenched seed with its own word and window, or a
+    chunk of an annealed run's windows of one word, which every chunk draws
+    and prices alike, at all ``cfg.trials``, so the parent never samples.
+    The kernel draws each admitted column's window as it reads it."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
         groups = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n), 1,
@@ -261,7 +251,7 @@ def _shift_chunk(args):
     else:
         groups = [(f"annealed n={n}", _draw_pattern(cfg, cfg.seeds[0], n), cfg.trials,
                    [(w, [cfg.seeds[0], 0, w]) for w in keys])]
-    outcomes, calls, held = [], [], math.inf
+    outcomes, admitted = [], []
     for label, pat, copies, columns in groups:
         mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
         ks = [_rescaled_k(t, mu) for t in cfg.t_grid]
@@ -269,25 +259,13 @@ def _shift_chunk(args):
         marker = _over_budget(label, price, cfg.operation_budget)
         if marker:
             outcomes.append(("truncated", marker))
-            continue
-        table, column_bytes = _call_bytes(cfg.base.alphabet_size, n, ks)
-        for column in columns:
-            opens = not calls or calls[-1][-1][0] is not pat
-            if held + column_bytes + table * opens > _CALL_BYTES:
-                calls.append([])
-                held, opens = 0, True
-            if opens:
-                calls[-1].append((pat, ks, []))
-                held += table
-            calls[-1][-1][2].append(column)
-            held += column_bytes
-    for call in calls:
-        pats, ks, columns = zip(*call)
-        windows = [[sample_window(cfg.base, noise, n) for _, noise in group]
-                   for group in columns]
-        values = iter(_windows_survival(cfg.fiber, pats, ks, windows))
-        outcomes += [("ok", (n, key), (row, next(values)))
-                     for row, group in zip(ks, columns) for key, _ in group]
+        else:
+            admitted += [(key, pat, ks, noise) for key, noise in columns]
+    if admitted:
+        values = _windows_survival(cfg.fiber, (
+            (pat, ks, sample_window(cfg.base, noise, n)) for _, pat, ks, noise in admitted))
+        outcomes += [("ok", (n, key), (ks, row))
+                     for (key, _, ks, _), row in zip(admitted, values)]
     return outcomes
 
 

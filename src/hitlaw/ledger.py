@@ -383,12 +383,15 @@ def verify_sandwich(xs, eps: float) -> bool:
 
 def gap_schedule(n: int, h0: float) -> int:
     """Gap floor(exp(h0 n / 4)), clamped to >= 1 (the raw floor can be 0 for
-    small n)."""
+    small n); 2**1024, past every float, where exp overflows."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if h0 <= 0:
         raise ValueError("h0 must be positive")
-    return max(1, math.floor(math.exp(h0 * n / 4.0)))
+    try:
+        return max(1, math.floor(math.exp(h0 * n / 4.0)))
+    except OverflowError:
+        return 2**1024
 
 
 # Fiber coordinates a hitting-time scan draws per call; a scan draws whole

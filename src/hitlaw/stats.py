@@ -24,10 +24,13 @@ def _check_t_grid(t_grid) -> np.ndarray:
 
 
 def _rescaled_k(t: float, measure: float) -> int:
-    """k(t) = floor(t / measure): the steps that a survival at rescaled time
-    t reads for a target of that measure, as a Python int, so that a price
-    built from it cannot overflow."""
-    return math.floor(t / measure)
+    """k(t) = floor(t / measure) as a Python int, so that a price built from
+    it cannot overflow: the steps a survival at rescaled time t reads for a
+    target of that measure, or 2**63, over every budget, past a float's range."""
+    try:
+        return math.floor(float(t) / measure)
+    except (ZeroDivisionError, OverflowError):
+        return 0 if t == 0 else 2**63
 
 
 def ks_to_exponential(observed, t_grid) -> float:

@@ -107,19 +107,18 @@ def _block_length(s: int, reads: np.ndarray) -> np.ndarray:
     return np.where(reads >= 4 * s ** length, length, 1)
 
 
-def _call_bytes(s: int, n: int, ks) -> tuple:
-    """Bytes a ``_windows_survival`` call holds for an n-letter word on s
-    noise symbols with k row ``ks``, (per word, per column): a word's step
-    matrices and table of s**L + s products, n x n doubles each; a column's
-    window (1.4 kB of objects), symbol row, step indices and codes (8 bytes
-    a step) and gathered step matrix.  Calls of 8 MiB and more traced within
-    10% of it, plus up to 2 MiB of temporaries that do not grow with them."""
-    record = [k + n - 1 if k else 0 for k in ks]
-    L = int(_block_length(s, np.asarray(record[-1])))
-    steps = sum(sum(divmod(b - a, L)) for a, b in zip([0, *record], record))
+def _call_bytes(s: int, n: int, record: np.ndarray) -> tuple:
+    """Bytes a kernel call holds for an n-letter word on s noise symbols read
+    through ``record``, (per word, per column): a word's step matrices and
+    table of s**L + s products, n x n doubles each; a column's window (1.4 kB
+    of objects), symbol row, step indices and codes (8 bytes a step) and
+    gathered step matrix.  Calls of 8 MiB and more traced within 10% of it,
+    plus up to 2 MiB of temporaries that do not grow with them."""
+    L = int(_block_length(s, record[-1]))
+    steps = int(sum(np.divmod(np.diff(record, prepend=0), L)).sum())
     symbol = np.min_scalar_type(s - 1).itemsize
     return ((s ** L + 2 * s) * 8 * n * n,
-            1536 + 2 * symbol * record[-1] + 8 * steps + 8 * n * n)
+            1536 + 2 * symbol * int(record[-1]) + 8 * steps + 8 * n * n)
 
 
 def _lockstep(mats: np.ndarray, syms, V: np.ndarray, record,
@@ -200,21 +199,44 @@ def _check_survival(values: np.ndarray) -> None:
         raise ValueError("survival values must be nonincreasing in k")
 
 
-def _windows_survival(fm: FiberMeasure, words, ks, windows) -> np.ndarray:
-    """Exact P(no occurrence of ``words[w]`` starts at coordinates 1..k)
-    under each window of ``windows[w]`` at each k of row w of ``ks``, one
-    nondecreasing row per word, in one kernel call; the words share one
-    length.  Shape (columns, records), the columns in word order."""
-    n, ks = words[0].n, np.asarray(ks)
-    # survival at k is decided after reading coordinates 1 .. k+n-1
-    record = np.where(ks == 0, 0, ks + n - 1)
-    syms = [np.stack([window.prefix(last + 1)[1:] for window in group])
-            for group, last in zip(windows, record[:, -1].tolist())]
+# Bytes a kernel call holds at most, by ``_call_bytes`` (chosen in the README)
+_CALL_BYTES = 16 * 2**20
+
+
+def _windows_survival(fm: FiberMeasure, columns) -> list:
+    """Exact P(no occurrence of ``word`` starts at coordinates 1..k) under
+    ``window`` at each k of ``ks``, a row per ``(word, ks, window)`` of one
+    word length.  The columns fill kernel calls of ``_CALL_BYTES`` at most, a
+    column over it alone, and a run of one word and ks object counts its
+    table once a call; a generator's windows are drawn just before their call."""
+    rows, call, held, last = [], [], 0, (None, None)
+    for word, ks, window in columns:
+        if opens := word is not last[0] or ks is not last[1]:
+            last, ks = (word, ks), np.asarray(ks)
+            # survival at k is decided after reading coordinates 1 .. k+n-1
+            record = np.where(ks == 0, 0, ks + word.n - 1)
+            table, size = _call_bytes(fm.base_alphabet_size, word.n, record)
+        if call and held + size + table * opens > _CALL_BYTES:
+            rows += _call_survival(fm, call)
+            call, held, opens = [], 0, True
+        if opens:
+            call.append((word, record, []))
+            held += table
+        call[-1][2].append(window)
+        held += size
+    return rows + _call_survival(fm, call) if call else rows
+
+
+def _call_survival(fm: FiberMeasure, call) -> list:
+    """One kernel call's rows, for groups ``(word, record, windows)``."""
+    words, records, windows = zip(*call)
+    syms = [np.stack([window.prefix(record[-1] + 1)[1:] for window in group])
+            for group, record in zip(windows, records)]
     mats = np.stack([masked_step_matrices(fm, build_automaton(p)) for p in words])
-    V = np.tile(np.eye(n)[0], (sum(map(len, syms)), 1))
-    values = _lockstep(mats, syms, V, record).T
+    V = np.tile(np.eye(words[0].n)[0], (sum(map(len, syms)), 1))
+    values = _lockstep(mats, syms, V, records).T
     _check_survival(values)
-    return values
+    return list(values)
 
 
 @dataclass(frozen=True)
@@ -255,7 +277,7 @@ def quenched_survival(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
     offset .. offset + k_max + n - 1, drawing those the window lacks.
     """
     grid = _curve_grid(fm, pat, offset, k_max)
-    values = _windows_survival(fm, [pat], [grid], [[window.shifted(offset)]])[0]
+    values = _windows_survival(fm, [(pat, grid, window.shifted(offset))])[0]
     return SurvivalCurve(k_grid=grid, values=values)
 
 
@@ -294,6 +316,6 @@ def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     t = _check_t_grid(t_grid)
     mu_a = marginal_cylinder_measure(fm, proc, pat)
     ks = np.array([_rescaled_k(ti, mu_a) for ti in t], dtype=np.int64)
-    values = _windows_survival(fm, [pat], [ks], [[window]])[0]
+    values = _windows_survival(fm, [(pat, ks, window)])[0]
     return RescaledCurve(t_grid=t, k_values=ks, values=values)
 

@@ -188,6 +188,34 @@ def test_budget_stays_inside_int64(tmp_path):
         f"over the budget {2**63 - 1}"]
 
 
+def test_words_past_the_float_range_are_over_budget(tmp_path):
+    # on the fair coin an n=1060 word's mu(A) is subnormal, so t / mu(A) is
+    # inf, and an n=1100 word's underflows to 0; at n=8000 the ledger's gap
+    # exp(h0 n / 4) overflows too.  Each such word is priced over every
+    # budget, so the run exits 2 with its markers, and its n=2 rows are
+    # those of a run of n=2 alone
+    for kind, ns, name, markers in (
+            ("quenched_shift", [1060, 1100], "survival_n2.csv",
+             ["quenched n={n} seed=0"]),
+            ("annealed_shift", [1060, 1100], "annealed_n2.csv", ["annealed n={n}"]),
+            ("ledger", [1060, 1100, 8000], "ledger.csv",
+             ["ledger n={n} t=0.5 seed=0", "ledger n={n} t=1.0 seed=0"])):
+        outs = []
+        for grid in ([2, *ns], [2]):
+            tree = _tiny_tree(experiment=kind, seeds=[0], trials=3,
+                              sweep={"n": grid, "t": [0.5, 1.0]})
+            cfg = _write(tmp_path, tree, f"{kind}{len(grid)}.yaml")
+            out = tmp_path / f"{kind}{len(grid)}"
+            assert main(["run", "--config", cfg, "--out", str(out)]) == (
+                2 if ns[0] in grid else 0), kind
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert [m.split(":")[0] for m in manifest["truncated"]] == (
+                [m.format(n=n) for n in ns for m in markers] if ns[0] in grid
+                else []), kind
+            outs.append((out / name).read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 1, kind
+
+
 def test_seeds_that_read_nothing_cost_nothing(tmp_path):
     # at t = 0 every k(t) is 0 and the kernel reads no symbol, so a budget
     # under n (n - 1) still finishes every seed and word
@@ -317,11 +345,11 @@ def test_shipped_configs_validate():
 
 
 def test_every_kind_byte_identical_across_worker_counts(tmp_path, monkeypatch):
-    from hitlaw import experiments
+    from hitlaw import survival
     # kernel calls of at most 10,000 bytes (``survival._call_bytes``) in
     # place of the shipped cap, so that the shift chunks below make several
     # calls each; forked workers inherit the patch
-    monkeypatch.setattr(experiments, "_CALL_BYTES", 10_000)
+    monkeypatch.setattr(survival, "_CALL_BYTES", 10_000)
     # 7 windows split into 1, 2 and 3 chunks; n=8 runs long enough for
     # the kernel's block jumps, and both word lengths share one pool; an
     # n=4 call takes 3 windows (768 bytes of table, 2,494 a window), and
@@ -405,7 +433,7 @@ def test_threads_zero_follows_cpu_affinity(tmp_path, monkeypatch):
 
 
 def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
-    from hitlaw import experiments
+    from hitlaw import survival
     # in process at one worker a chunk holds every window or seed, and the
     # worker holds one kernel call's tables, windows, symbols and step
     # indices at a time, at most ``_CALL_BYTES`` by ``survival._call_bytes``,
@@ -432,7 +460,7 @@ def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < experiments._CALL_BYTES, (label, peaks)
+        assert abs(peaks[1] - peaks[0]) < survival._CALL_BYTES, (label, peaks)
 
 
 def test_config_hash_ignores_worker_count():

@@ -11,7 +11,7 @@ import oracle_enum
 from conftest import random_fiber_measure
 
 from hitlaw import survival
-from hitlaw.base_process import make_rng
+from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.fiber import Pattern
 from hitlaw.survival import (_lockstep, build_automaton,
                              masked_arrival_matrices, masked_step_matrices)
@@ -175,3 +175,73 @@ def test_per_word_records_match_one_column_calls(case):
             want = oracle_enum.enum_quenched_survival(fm.W, row, pats[w].symbols,
                                                       0, int(word_ks[w, -1]))
             assert np.max(np.abs(together[:, i] - want[word_ks[w]])) < 1e-12
+
+
+@st.composite
+def _stream_case(draw):
+    """A random binary fiber over a Bernoulli or sticky Markov base; one to
+    four words of one length, each with one to five columns, in word order,
+    and its own nondecreasing k row (zeros allowed) of a shared length; and
+    where the call cap falls between one column's bytes and four columns'."""
+    n = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    fm = random_fiber_measure(rng, 2, 2)
+    stay = draw(st.sampled_from([None, 0.9, 0.97]))
+    proc = (BaseProcess.bernoulli([0.5, 0.5]) if stay is None else
+            BaseProcess.markov([[stay, 1 - stay], [1 - stay, stay]]))
+    words, records = [], draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(1, 4))):
+        pat = Pattern(tuple(int(x) for x in rng.integers(0, 2, size=n)), 2)
+        ks = sorted(draw(st.lists(st.integers(0, 40), min_size=records,
+                                  max_size=records)))
+        words.append((pat, ks, draw(st.integers(1, 5))))
+    return fm, proc, words, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stream_case())
+def test_kernel_cuts_a_stream_into_calls_as_it_reads_it(case):
+    fm, proc, words, where = case
+    columns = [(pat, ks, [w, c]) for w, (pat, ks, count) in enumerate(words)
+               for c in range(count)]
+    weights = {id(pat): survival._call_bytes(
+        2, pat.n, np.where(np.asarray(ks) == 0, 0, np.asarray(ks) + pat.n - 1))
+        for pat, ks, _ in words}
+    one = [sum(weights[id(pat)]) for pat, _, _ in words]
+    cap = int(min(one) + where * (4 * max(one) - min(one)))
+    read, calls = [0], []
+
+    def stream():
+        for pat, ks, key in columns:
+            read[0] += 1
+            yield pat, ks, sample_window(proc, key, 1)
+
+    def lockstep(mats, syms, V, record, block=None):
+        calls.append((read[0], [len(group) for group in syms]))
+        return _lockstep(mats, syms, V, record, block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survival, "_CALL_BYTES", cap)
+        mp.setattr(survival, "_lockstep", lockstep)
+        rows = survival._windows_survival(fm, stream())
+    assert len(rows) == len(columns)
+    for (pat, ks, key), row in zip(columns, rows):
+        alone = survival._windows_survival(fm, [(pat, ks, sample_window(proc, key, 1))])
+        assert np.array_equal(alone[0], row)
+    # the cut rule: a call holds each of its runs of one word's columns as
+    # one table and their columns, fits the cap unless it holds one column,
+    # and would not fit it with the next column; it starts with at most its
+    # own columns and those before it read, plus one
+    start = 0
+    for i, (seen, groups) in enumerate(calls):
+        held = 0
+        for count in groups:
+            table, size = weights[id(columns[start][0])]
+            held += table + count * size
+            start += count
+        assert seen <= start + 1
+        assert held <= cap or sum(groups) == 1
+        if i + 1 < len(calls):
+            table, size = weights[id(columns[start][0])]
+            opens = columns[start][0] is not columns[start - 1][0]
+            assert held + size + table * opens > cap
+    assert start == len(columns)
