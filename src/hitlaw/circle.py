@@ -46,7 +46,7 @@ import numpy as np
 
 from .base_process import BaseWindow, make_rng
 from .errors import PrecisionBudgetError
-from .stats import _check_t_grid, _rescaled_k, ks_to_exponential
+from .stats import _check_t_grid, _rescaled_ks, ks_to_exponential
 
 _GUARD_BITS = 64
 
@@ -302,7 +302,7 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
         raise ValueError(f"need at least {MIN_LAW_TRIALS} trials")
     t = _check_t_grid(t_grid)
     target = BallTarget(center=y, radius=r)
-    ks = np.array([_rescaled_k(ti, target.measure) for ti in t], dtype=np.int64)
+    ks = _rescaled_ks(t, target.measure)
     k_max = int(ks[-1])
     precision = required_bits(k_max, rds.max_multiplier)
     den = 1 << precision

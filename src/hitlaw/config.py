@@ -25,7 +25,7 @@ from .base_process import BaseProcess
 from .circle import MIN_LAW_TRIALS, BallTarget, CircleRDS
 from .fiber import FiberMeasure, _check_base_alphabet, _is_binary_symmetric
 from .ledger import JMAX_FACTOR
-from .stats import _check_t_grid
+from .stats import _check_t_grid, _rescaled_ks
 
 EXPERIMENT_KINDS = ("quenched_shift", "annealed_shift", "ledger", "entropy",
                     "circle_law", "singularity")
@@ -207,7 +207,9 @@ def _parse(tree: dict) -> tuple:
                        circle.get("multipliers", (2, 3)))
         r_grid = _grid(sweep.get("r"), "sweep.r", v, sign=-1)
         for r in r_grid:
-            _attempt(v, "sweep.r", BallTarget, 0.0, r)
+            target = _attempt(v, "sweep.r", BallTarget, 0.0, r)
+            if target and t_grid:   # the scan's int64 k row
+                _attempt(v, "sweep.r", _rescaled_ks, t_grid, target.measure)
     if v:
         return None, v
     return ExperimentConfig(

@@ -1,27 +1,16 @@
 """Experiment driver: one table of experiment kinds, one parallel dispatch,
 artifact files.
 
-``KINDS`` maps each kind to three functions: ``items(cfg)`` lists the run's
-work items as tuples ``(cfg, *key)`` in a fixed order; the top-level
-``worker(item)`` computes one item exactly and returns a list of outcomes,
-each ``("ok", key, payload)`` or ``("truncated", marker)``; ``reduce(cfg,
-done)`` builds the CSV rows and JSON report from the finished outcomes'
-``(key, payload)`` pairs, in item order.  ``run_experiment`` dispatches all
-items of a run at once to directly forked workers (``_parallel_map``), which
-inherit the items and claim their indices by passing the next one along a
-pipe; there is no process pool.  Workers share nothing but that index, and
-results are merged in item order, so the emitted bytes do not depend on the
-worker count.
-Floats are formatted with 17 significant digits, which round-trips doubles
-exactly.  Both shift kinds run one worker, ``_shift_chunk``, over chunks
-of columns of one word length, one chunk per worker as singularity splits
-its draws (``_chunks``); the kernel cuts them into its calls, and every
-column's curve is bit-identical however the columns are chunked or cut.
-A ledger item is one (n, seed), whose t's share one sweep per gap
-(``_ledger_item``); items go out heaviest word length first.  Each exact
-item is priced in column-state reads before it draws its noise, and one
-priced over ``operation_budget`` is truncated (``_over_budget``); a ledger
-item is priced t by t.
+``KINDS`` maps each kind to ``(items, price, worker, reduce)``: the run's
+work items ``(cfg, *key)`` in a fixed order; an item's priced parts (see
+``_run_item``), or None for a kind not yet priced; the worker, which
+computes an item's admitted parts and returns ``(key, payload)`` pairs;
+and the reducer from all pairs, in item order, to the CSV rows and JSON
+report.  ``run_experiment`` runs every item through ``_run_item`` in one
+dispatch to directly forked workers (``_parallel_map``), which claim item
+indices along a pipe; results merge in item order, so the emitted bytes
+do not depend on the worker count.  Floats are written with 17
+significant digits, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
@@ -176,8 +165,7 @@ def _chunks(cfg: ExperimentConfig, keys) -> list:
 
 def _shift_items(cfg: ExperimentConfig) -> list:
     """Chunks ``(cfg, n, keys)`` of one word length, one per worker:
-    quenched seeds or annealed windows; ``_shift_chunk`` cuts a chunk into
-    kernel calls."""
+    quenched seeds or annealed windows, which the kernel cuts into calls."""
     keys = cfg.seeds if cfg.experiment == "quenched_shift" else range(cfg.trials)
     return _items(cfg, cfg.n_grid, _chunks(cfg, keys))
 
@@ -187,14 +175,6 @@ def _draw_pattern(cfg: ExperimentConfig, seed, n: int) -> Pattern:
     pat_window = sample_window(cfg.base, [seed, 1], n)
     xs = sample_fiber_prefix(cfg.fiber, pat_window, n, make_rng([seed, 2]))
     return Pattern(tuple(xs), cfg.fiber.fiber_alphabet_size)
-
-
-def _over_budget(label: str, price: int, budget: int) -> str | None:
-    """The truncation marker of an item priced over ``budget`` column-state
-    reads (kernel column-reads times automaton states), else None."""
-    if price > budget:
-        return f"{label}: needs {price} column-state reads, over the budget {budget}"
-    return None
 
 
 def _sweep_report(done, keys, xs, per: str, label, stat: str):
@@ -234,39 +214,36 @@ def _sweep_report(done, keys, xs, per: str, label, stat: str):
 # quenched_shift and annealed_shift
 
 
-def _shift_chunk(args):
-    """Exact rescaled survival of a chunk of one word length: per key
-    ``("ok", (n, key), (ks, values))``, or a truncation marker when its word
-    is priced over the budget, n states times k(t_max) + n - 1 reads per
-    column (none at k(t_max) = 0), before its windows are drawn.  A group
-    (label, word, price multiplier, (key, noise key) columns) holds one word
-    and its k(t) row: a quenched seed with its own word and window, or a
-    chunk of an annealed run's windows of one word, which every chunk draws
-    and prices alike, at all ``cfg.trials``, so the parent never samples.
-    The kernel draws each admitted column's window as it reads it."""
+def _price_shift(args):
+    """Per word of a chunk, ``(label, price, columns)``: n states times
+    k(t_max) + n - 1 reads per column (none at k(t_max) = 0), for a quenched
+    seed's one column or an annealed word's ``cfg.trials``, which every chunk
+    prices alike.  A column is ``(key, word, k(t) row, noise key)``."""
     cfg, n, keys = args
     if cfg.experiment == "quenched_shift":
-        groups = [(f"quenched n={n} seed={seed}", _draw_pattern(cfg, seed, n), 1,
-                   [(seed, [seed, 0])]) for seed in keys]
+        groups = [(f"quenched n={n} seed={s}", s, 1, [(s, [s, 0])]) for s in keys]
     else:
-        groups = [(f"annealed n={n}", _draw_pattern(cfg, cfg.seeds[0], n), cfg.trials,
-                   [(w, [cfg.seeds[0], 0, w]) for w in keys])]
-    outcomes, admitted = [], []
-    for label, pat, copies, columns in groups:
+        s = cfg.seeds[0]
+        groups = [(f"annealed n={n}", s, cfg.trials, [(w, [s, 0, w]) for w in keys])]
+    for label, seed, copies, columns in groups:
+        pat = _draw_pattern(cfg, seed, n)
         mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
         ks = [_rescaled_k(t, mu) for t in cfg.t_grid]
-        price = copies * n * (ks[-1] + n - 1) if ks[-1] else 0
-        marker = _over_budget(label, price, cfg.operation_budget)
-        if marker:
-            outcomes.append(("truncated", marker))
-        else:
-            admitted += [(key, pat, ks, noise) for key, noise in columns]
-    if admitted:
-        values = _windows_survival(cfg.fiber, (
-            (pat, ks, sample_window(cfg.base, noise, n)) for _, pat, ks, noise in admitted))
-        outcomes += [("ok", (n, key), (ks, row))
-                     for (key, _, ks, _), row in zip(admitted, values)]
-    return outcomes
+        yield (label, copies * n * (ks[-1] + n - 1) if ks[-1] else 0,
+               [(key, pat, ks, noise) for key, noise in columns])
+
+
+def _shift_chunk(args, parts):
+    """Exact rescaled survival of a chunk's admitted columns, per column
+    ``((n, key), (ks, values))``; the kernel draws each column's window as
+    it reads it, and a chunk with no admitted column calls no kernel."""
+    cfg, n, _ = args
+    columns = [column for part in parts for column in part]
+    if not columns:
+        return []
+    values = _windows_survival(cfg.fiber, (
+        (pat, ks, sample_window(cfg.base, noise, n)) for _, pat, ks, noise in columns))
+    return [((n, key), (ks, row)) for (key, _, ks, _), row in zip(columns, values)]
 
 
 def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
@@ -311,39 +288,41 @@ def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
 # ledger
 
 
-def _ledger_item(args):
-    """Every t of one (n, seed): each is priced before any noise is drawn,
-    and one with k=0 or over the budget gets its marker; the admitted t's
-    share the word and window, and those of one gap g = min(gap schedule,
-    k) share one sweep (``ledger_checkpoints``), at the largest of them; the
-    first item dispatched runs the sandwich check, so the parent draws none."""
+def _price_ledger(args):
+    """Per t of one (n, seed), ``(label, price, (word, g, (t, k, jmax)))``
+    with gap g = min(gap schedule, k), or price None at k = 0."""
     cfg, n, seed = args
-    outcomes, groups = [], {}
-    if (n, seed) == (cfg.n_grid[-1], cfg.seeds[0]):
-        rng = make_rng(cfg.seeds[0])
-        outcomes.append(("ok", "sandwich", all(verify_sandwich(
-            rng.uniform(0, eps, size=(100, 50)), eps) for eps in (0.01, 0.1, 0.5))))
     pat = _draw_pattern(cfg, seed, n)
     mu = marginal_cylinder_measure(cfg.fiber, cfg.base, pat)
     gap = gap_schedule(n, cfg.fiber.h0)
     for t in cfg.t_grid:
-        label = f"ledger n={n} t={t} seed={seed}"
         k = _rescaled_k(t, mu)
         g, jmax = min(gap, k), cfg.jmax_factor * k
-        marker = f"{label}: k=0, t too small" if k < 1 else _over_budget(
-            label, _ledger_price(n, k, g, jmax), cfg.operation_budget)
-        if marker:
-            outcomes.append(("truncated", marker))
-        else:
-            groups.setdefault(g, []).append((t, k, jmax))
-    if groups:
+        yield (f"ledger n={n} t={t} seed={seed}",
+               _ledger_price(n, k, g, jmax) if k else None, (pat, g, (t, k, jmax)))
+
+
+def _ledger_item(args, parts):
+    """The admitted t's of one (n, seed) share the word and window, and
+    those of one gap share one sweep (``ledger_checkpoints``), at the
+    largest of them; the first item dispatched runs the sandwich check, cut
+    t's or not, so the parent draws none."""
+    cfg, n, seed = args
+    out, groups = [], {}
+    if (n, seed) == (cfg.n_grid[-1], cfg.seeds[0]):
+        rng = make_rng(cfg.seeds[0])
+        out.append(("sandwich", all(verify_sandwich(
+            rng.uniform(0, eps, size=(100, 50)), eps) for eps in (0.01, 0.1, 0.5))))
+    for pat, g, checkpoint in parts:
+        groups.setdefault(g, []).append(checkpoint)
+    if parts:
         window = sample_window(cfg.base, [seed, 0], n)
     for g, checkpoints in groups.items():
         for led in ledger_checkpoints(cfg.fiber, window, pat, g, checkpoints):
             row = (seed, n, led.t, led.g, led.k, led.M, led.G, led.H, led.K,
                    led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
-            outcomes.append(("ok", (n, led.t, seed), row))
-    return outcomes
+            out.append(((n, led.t, seed), row))
+    return out
 
 
 def _reduce_ledger(cfg: ExperimentConfig, done) -> dict:
@@ -382,7 +361,7 @@ def _entropy_item(args):
     row = (n, float(smb.mean()), _stderr(smb),
            float(ow.mean()) if ow.size else float("nan"), _stderr(ow),
            censored, cfg.trials)
-    return [("ok", (n,), (row, censored > cfg.trials / 2))]
+    return [((n,), (row, censored > cfg.trials / 2))]
 
 
 def _reduce_entropy(cfg: ExperimentConfig, done) -> dict:
@@ -412,7 +391,7 @@ def _circle_item(args):
     rows = [(seed, r, t, s, math.exp(-t), out.delta_r, out.trials,
              out.censored_count)
             for t, s in zip(out.t_grid, out.survival)]
-    return [("ok", (r, seed), (rows, out.delta_r))]
+    return [((r, seed), (rows, out.delta_r))]
 
 
 def _reduce_circle(cfg: ExperimentConfig, done) -> dict:
@@ -446,7 +425,7 @@ def _singularity_chunk(args):
         word = Pattern(tuple(make_rng([seed, i, 1]).integers(0, 2, size=n)), 2)
         out = density_ratio(cfg.fiber, cfg.base, window, word)
         rows.append((i, out.match_count, out.log_ratio))
-    return [("ok", (draws,), rows)]
+    return [((draws,), rows)]
 
 
 def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
@@ -463,20 +442,42 @@ def _reduce_singularity(cfg: ExperimentConfig, done) -> dict:
             "singularity.json": ("json", report)}
 
 
-# kind -> (items, worker, reduce), in the order of config.EXPERIMENT_KINDS
+# kind -> (items, price, worker, reduce), in config.EXPERIMENT_KINDS order
 KINDS = {
-    "quenched_shift": (_shift_items, _shift_chunk, _reduce_quenched),
-    "annealed_shift": (_shift_items, _shift_chunk, _reduce_annealed),
+    "quenched_shift": (_shift_items, _price_shift, _shift_chunk, _reduce_quenched),
+    "annealed_shift": (_shift_items, _price_shift, _shift_chunk, _reduce_annealed),
     # heaviest word length first; the reducer restores (n, t, seed) order
     "ledger": (lambda cfg: _items(cfg, cfg.n_grid[::-1], cfg.seeds),
-               _ledger_item, _reduce_ledger),
+               _price_ledger, _ledger_item, _reduce_ledger),
     "entropy": (lambda cfg: _items(cfg, cfg.n_grid),
-                _entropy_item, _reduce_entropy),
+                None, _entropy_item, _reduce_entropy),
     "circle_law": (lambda cfg: _items(cfg, cfg.r_grid, cfg.seeds),
-                   _circle_item, _reduce_circle),
+                   None, _circle_item, _reduce_circle),
     "singularity": (lambda cfg: _items(cfg, _chunks(cfg, range(cfg.trials))),
-                    _singularity_chunk, _reduce_singularity),
+                    None, _singularity_chunk, _reduce_singularity),
 }
+
+
+def _run_item(item) -> tuple:
+    """One work item, in whichever process runs it: ``(markers, pairs)``.
+    The kind's price function draws only the item's words and yields
+    ``(label, price, part)`` per priced unit; a part priced over
+    ``operation_budget`` column-state reads (kernel column-reads times
+    automaton states), or None at k = 0, gets a marker, the rest the worker."""
+    cfg = item[0]
+    _, price, worker, _ = KINDS[cfg.experiment]
+    if price is None:
+        return [], worker(item)
+    budget, markers, admitted = cfg.operation_budget, [], []
+    for label, cost, part in price(item):
+        if cost is None:
+            markers.append(f"{label}: k=0, t too small")
+        elif cost > budget:
+            markers.append(f"{label}: needs {cost} column-state reads, "
+                           f"over the budget {budget}")
+        else:
+            admitted.append(part)
+    return markers, worker(item, admitted)
 
 
 def _strict(obj):
@@ -537,9 +538,8 @@ def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Run every work item of the config's kind in one dispatch, reduce the
     finished ones and write the artifacts; returns the manifest dict."""
-    items, worker, reduce = KINDS[cfg.experiment]
-    results = [out for outs in _parallel_map(worker, items(cfg), cfg.threads)
-               for out in outs]
-    truncated = sorted({out[1] for out in results if out[0] == "truncated"})
-    done = [out[1:] for out in results if out[0] == "ok"]
+    items, _, _, reduce = KINDS[cfg.experiment]
+    results = _parallel_map(_run_item, items(cfg), cfg.threads)
+    truncated = sorted({marker for markers, _ in results for marker in markers})
+    done = [pair for _, pairs in results for pair in pairs]
     return write_artifacts(cfg, reduce(cfg, done), truncated, out_dir)

@@ -309,9 +309,9 @@ def compute_ledger(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     k = floor(t / mu(A)) with mu(A) the noise-averaged cylinder measure;
     requires 1 <= g <= k <= jmax, and jmax defaults to JMAX_FACTOR k.  The
     recursions read noise symbols 0 .. k + g + jmax + n - 1, drawing those
-    the window lacks, and cost column-reads times automaton states as
-    priced by ``_ledger_price``; a run truncates a ledger priced over its
-    budget before calling this.
+    the window lacks, and cost ``_ledger_price`` column-state reads.  This
+    takes no budget; a run prices each t with the ledger's price function
+    (``experiments._price_ledger``) before it draws any noise.
     """
     k = _horizon(fm, proc, pat, t)
     jmax = JMAX_FACTOR * k if jmax is None else jmax

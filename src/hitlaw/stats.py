@@ -33,6 +33,17 @@ def _rescaled_k(t: float, measure: float) -> int:
         return 0 if t == 0 else 2**63
 
 
+def _rescaled_ks(t_grid, measure: float) -> np.ndarray:
+    """The int64 row of k(t) over a t grid (see ``_rescaled_k``); a k past
+    int64 raises a ValueError naming its t and the measure."""
+    ks = [_rescaled_k(t, measure) for t in t_grid]
+    for t, k in zip(t_grid, ks):
+        if k >= 2**63:
+            raise ValueError(f"k(t) = floor(t / measure) leaves int64 at t={t} "
+                             f"for the measure {measure!r}")
+    return np.array(ks, dtype=np.int64)
+
+
 def ks_to_exponential(observed, t_grid) -> float:
     """Sup distance between an observed survival curve and exp(-t) on its
     t grid."""

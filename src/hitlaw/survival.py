@@ -24,7 +24,7 @@ import numpy as np
 from .base_process import BaseProcess, BaseWindow
 from .fiber import (FiberMeasure, Pattern, _check_compatible,
                     fiber_cylinder_measure, marginal_cylinder_measure)
-from .stats import _check_t_grid, _rescaled_k
+from .stats import _check_t_grid, _rescaled_ks
 
 
 class PatternAutomaton(NamedTuple):
@@ -315,7 +315,7 @@ def rescaled_survival(fm: FiberMeasure, proc: BaseProcess, window: BaseWindow,
     the noise-averaged cylinder measure; the value at t = 0 is 1."""
     t = _check_t_grid(t_grid)
     mu_a = marginal_cylinder_measure(fm, proc, pat)
-    ks = np.array([_rescaled_k(ti, mu_a) for ti in t], dtype=np.int64)
+    ks = _rescaled_ks(t, mu_a)
     values = _windows_survival(fm, [(pat, ks, window)])[0]
     return RescaledCurve(t_grid=t, k_values=ks, values=values)
 

@@ -344,6 +344,33 @@ def test_shipped_configs_validate():
         assert validate(tree) == [], name
 
 
+@pytest.mark.parametrize("name, counts", [("quenched_shift", [150, 100, 50, 0]),
+                                          ("annealed_shift", [1, 1, 1, 0]),
+                                          ("ledger", [90, 80, 40, 0])])
+def test_the_price_stage_alone_predicts_the_run(tmp_path, name, counts):
+    # a kind's price function, called on every item in this process, yields
+    # exactly the markers a two-worker run writes, at its own budget and below
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", f"{name}.yaml")) as fh:
+        shipped = yaml.safe_load(fh)
+    items, price, _, _ = KINDS[name]
+    got = []
+    for budget in (1, 10**4, 10**6, shipped["operation_budget"]):
+        tree = dict(shipped, threads=2, operation_budget=budget)
+        markers = sorted({
+            f"{label}: k=0, t too small" if cost is None else
+            f"{label}: needs {cost} column-state reads, over the budget {budget}"
+            for item in items(build_config(tree)) for label, cost, _ in price(item)
+            if cost is None or cost > budget})
+        out = tmp_path / str(budget)
+        code = main(["run", "--config", _write(tmp_path, tree, f"{budget}.yaml"),
+                     "--out", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["truncated"] == markers
+        assert code == (2 if markers else 0)
+        got.append(len(markers))
+    assert got == counts
+
+
 def test_every_kind_byte_identical_across_worker_counts(tmp_path, monkeypatch):
     from hitlaw import survival
     # kernel calls of at most 10,000 bytes (``survival._call_bytes``) in
@@ -759,6 +786,8 @@ _BAD_TREES = {
         sweep={"n": [2, 3], "t": {"start": 0.0, "stop": "two", "step": 0.5}})),
     "n-string": ("sweep.n", _tiny_tree(sweep={"n": ["two"], "t": [0.0, 1.0]})),
     "r-string": ("sweep.r", dict(_CIRCLE, sweep={"t": [0.0, 1.0], "r": ["wide"]})),
+    # k(1) = floor(1 / 2e-300) leaves the scan's int64 k row
+    "r-past-int64": ("sweep.r", dict(_CIRCLE, sweep={"t": [0.0, 1.0], "r": [1.0e-300]})),
 }
 
 

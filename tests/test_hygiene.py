@@ -145,6 +145,34 @@ def test_every_error_class_is_raised():
     assert never == []
 
 
+def test_the_budget_and_each_cost_rule_have_one_owner():
+    # config reads the budget and the driver applies it; each kind's cost
+    # rule is stated once, in its price function
+    owners = {"operation_budget": "_run_item", "_ledger_price": "_price_ledger",
+              "shift cost": "_price_shift"}
+    shift_cost = re.compile(r"\(.+ \+ (\w+\.)?n - 1\)")
+    stray, found = [], set()
+    for name, tree in MODULES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (getattr(node, "attr", None) == "operation_budget"
+                        or getattr(node, "value", None) == "operation_budget"):
+                    rule = "operation_budget"
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                        == "_ledger_price":
+                    rule = "_ledger_price"
+                elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                      and shift_cost.search(ast.unparse(node))):
+                    rule = "shift cost"
+                else:
+                    continue
+                if name == "experiments.py" and getattr(top, "name", None) == owners[rule]:
+                    found.add(rule)
+                elif not (rule == "operation_budget" and name == "config.py"):
+                    stray.append(f"{name}:{node.lineno} {rule}")
+    assert stray == [] and found == set(owners)
+
+
 def test_no_module_reads_another_modules_private_constant():
     # a private _UPPER_CASE constant tunes its own module; another module
     # that needs what follows from it asks its owner through a function

@@ -12,7 +12,7 @@ from conftest import random_base, random_fiber_measure
 from hitlaw import ledger
 from hitlaw.base_process import BaseProcess, make_rng, sample_window
 from hitlaw.config import build_config
-from hitlaw.experiments import _over_budget, run_experiment
+from hitlaw.experiments import KINDS, _run_item, run_experiment
 from hitlaw.fiber import (FiberMeasure, Pattern, fiber_cylinder_measure,
                           marginal_cylinder_measure)
 from hitlaw.ledger import (_ledger_price, compute_ledger, entrance_sum,
@@ -250,10 +250,26 @@ def test_ledger_price_counts_every_recursion(coin_pair, monkeypatch):
     # n=3, t=1: k=8, jmax=32 prices at 2,978
     compute_ledger(fm, proc, window, Pattern((0, 1, 1), 2), t=1.0, g=2)
     assert sum(reads) == _ledger_price(3, 8, 2, 32) == 2978
-    assert _over_budget("item", 2978, 2978) is None
-    assert _over_budget("item", 2978, 2977) == \
-        "item: needs 2978 column-state reads, over the budget 2977"
     assert _ledger_price(8, 512, 2, 2048) == 26301608
+
+
+def test_the_driver_admits_a_price_at_the_budget():
+    # the n=3, t=1 item on the fair coin is k=8, g=1, jmax=32, priced 2,844:
+    # a budget of 2,844 admits it and one of 2,843 writes its exact marker;
+    # as the first item dispatched it runs the sandwich check either way
+    tree = {"experiment": "ledger", "seeds": [5], "threads": 1,
+            "base": {"kind": "bernoulli", "weights": [0.5, 0.5]},
+            "fiber": {"matrix": [[0.3, 0.7], [0.7, 0.3]]},
+            "sweep": {"n": [3], "t": [1.0]}}
+    assert _ledger_price(3, 8, 1, 32) == 2844
+    [item] = KINDS["ledger"][0](build_config(dict(tree, operation_budget=2844)))
+    markers, pairs = _run_item(item)
+    assert markers == [] and [key for key, _ in pairs] == ["sandwich", (3, 1.0, 5)]
+    [item] = KINDS["ledger"][0](build_config(dict(tree, operation_budget=2843)))
+    markers, pairs = _run_item(item)
+    assert markers == ["ledger n=3 t=1.0 seed=5: needs 2844 column-state reads, "
+                       "over the budget 2843"]
+    assert [key for key, _ in pairs] == ["sandwich"]
 
 
 def test_ledger_checkpoints_refuse_out_of_contract_input(coin_pair):

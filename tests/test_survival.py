@@ -203,6 +203,14 @@ def test_rescaled_single_symbol_closed_form():
         assert v == pytest.approx((1 - 0.3) ** math.floor(t / p_marg), rel=1e-12)
 
 
+def test_a_k_past_int64_names_its_t_and_measure(coin_pair):
+    # a 1,100-symbol word's mu(A) underflows to 0, so k(1) leaves int64
+    proc, fm = coin_pair
+    win = sample_window(proc, seed=1, length=10)
+    with pytest.raises(ValueError, match=r"leaves int64 at t=1\.0 for the measure 0\.0"):
+        rescaled_survival(fm, proc, win, Pattern((0,) * 1100, 2), [0.0, 1.0])
+
+
 def _fair_run(tmp_path, monkeypatch, name, **overrides):
     """Manifest and column-state reads of a run on the fair-coin base with
     the p = 0.3 symmetric fiber, whose marginal gives mu(A) = 2**-n."""
