@@ -5,11 +5,12 @@ artifact files.
 work items ``(cfg, *key)`` in a fixed order; an item's priced parts (see
 ``_run_item``), or None for a kind not yet priced; the worker, which
 computes an item's admitted parts and returns ``(key, payload)`` pairs;
-and the reducer from all pairs, in item order, to the CSV rows and JSON
-report.  ``run_experiment`` runs every item through ``_run_item`` in one
-dispatch to directly forked workers (``_parallel_map``), which claim item
-indices along a pipe; results merge in item order, so the emitted bytes
-do not depend on the worker count.  Floats are written with 17
+and the reducer from all pairs, in item order, to the CSV rows (the shift
+kinds generate theirs from the payloads as ``write_artifacts`` writes them)
+and JSON report.  ``run_experiment`` runs every item through ``_run_item``
+in one dispatch to directly forked workers (``_parallel_map``), which claim
+item indices along a pipe; results merge in item order, so the emitted
+bytes do not depend on the worker count.  Floats are written with 17
 significant digits, which round-trips doubles exactly.
 """
 
@@ -47,6 +48,8 @@ CIRCLE_COLUMNS = ("seed", "r", "t", "empirical_survival", "exp_minus_t",
 ENTROPY_COLUMNS = ("n", "smb_mean", "smb_stderr", "ow_mean", "ow_stderr",
                    "censored", "samples")
 SINGULARITY_COLUMNS = ("draw", "match_count", "log_ratio")
+# CSV lines formatted and written a chunk at a time (``write_artifacts``)
+_WRITE_ROWS = 256
 
 
 def _workers(threads: int) -> int:
@@ -116,9 +119,14 @@ def _parallel_map(fn, items, threads: int):
     try:
         for _ in range(min(threads, len(items))):
             fd, out = os.pipe()
-            if (pid := os.fork()) == 0:
-                _serve(fn, items, token, out)
-            os.close(out)
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve(fn, items, token, out)
+            except BaseException:
+                os.close(fd)   # a fork that failed leaves no worker to own it
+                raise
+            finally:
+                os.close(out)
             workers[fd] = (pid, bytearray())
             poller.register(fd, select.POLLIN)
         while workers:
@@ -247,15 +255,16 @@ def _shift_chunk(args, parts):
 
 
 def _reduce_quenched(cfg: ExperimentConfig, done) -> dict:
-    curves = []
-    for (n, seed), (ks, values) in done:
-        rows = [(seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
-                for t, k, v in zip(cfg.t_grid, ks, values)]
-        sup = ks_to_exponential(values, cfg.t_grid)
-        curves.append(((n, seed), (rows, sup)))
-    rows, report = _sweep_report(curves, cfg.n_grid, cfg.n_grid, "per_n", str,
-                                 "sup_abs_err")
-    artifacts = {f"survival_n{n}.csv": ("csv", SURVIVAL_COLUMNS, rows[n])
+    # the report groups each word length's payloads in item order, and its
+    # rows are generated from them as the file is written
+    curves = [((n, seed), ([(seed, ks, values)], ks_to_exponential(values, cfg.t_grid)))
+              for (n, seed), (ks, values) in done]
+    payloads, report = _sweep_report(curves, cfg.n_grid, cfg.n_grid, "per_n", str,
+                                     "sup_abs_err")
+    artifacts = {f"survival_n{n}.csv": ("csv", SURVIVAL_COLUMNS, (
+                     (seed, t, int(k), v, math.exp(-t), abs(v - math.exp(-t)))
+                     for seed, ks, values in payloads[n]
+                     for t, k, v in zip(cfg.t_grid, ks, values)))
                  for n in cfg.n_grid}
     artifacts["report.json"] = ("json", report)
     return artifacts
@@ -275,8 +284,8 @@ def _reduce_annealed(cfg: ExperimentConfig, done) -> dict:
             windows = len(finished)
             stderr = (values.std(axis=0, ddof=1) / math.sqrt(windows) if windows > 1
                       else np.zeros(len(cfg.t_grid)))
-            rows = [(t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
-                    for t, k, m, se in zip(cfg.t_grid, finished[0][0], mean, stderr)]
+            rows = ((t, int(k), m, se, math.exp(-t), abs(m - math.exp(-t)))
+                    for t, k, m, se in zip(cfg.t_grid, finished[0][0], mean, stderr))
             per_n[str(n)] = {"sup_abs_err": ks_to_exponential(mean, cfg.t_grid),
                              "windows": windows}
         artifacts[f"annealed_n{n}.csv"] = ("csv", ANNEALED_COLUMNS, rows)
@@ -490,37 +499,56 @@ def _strict(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
+def _csv_text(header, rows):
+    """The CSV text of ``rows`` in chunks of ``_WRITE_ROWS`` lines, the header
+    line first.  Floats are in round-trip form; no field holds a comma, quote
+    or newline, so no field needs CSV quoting.  One %-format per tuple of
+    value types formats a whole row."""
+    lines, fmts = [",".join(header) + "\n"], {}
+    for row in rows:
+        # built at its final size: ``tuple(map(...))`` shrinks a larger
+        # tuple, so each one freed waits on a free list that no later one
+        # takes from, up to 2,000 (176 KiB for six columns)
+        types = (*map(type, row),)
+        if types not in fmts:
+            fmts[types] = ",".join("%.17g" if issubclass(t, (float, np.floating))
+                                   else "%s" for t in types) + "\n"
+        lines.append(fmts[types] % row)
+        if len(lines) == _WRITE_ROWS:
+            yield "".join(lines)
+            lines = []
+    if lines:
+        yield "".join(lines)
+
+
+def _write_text(path: str, chunks) -> str:
+    """Write the text ``chunks`` to ``path`` as UTF-8, one write each; returns
+    the SHA-256 of the bytes written, so the file is never read back."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
                     out_dir: str) -> dict:
     """Write the artifacts (filename -> ``("csv", header, rows)`` or
     ``("json", obj)``) plus a manifest with checksums and the truncation
-    markers; returns the manifest dict."""
+    markers; returns the manifest dict.  ``rows`` may be any iterable, a
+    generator included: rows are formatted and written ``_WRITE_ROWS`` at a
+    time, so no file's whole text is held, and each checksum is the SHA-256
+    of the bytes as they are written."""
     os.makedirs(out_dir, exist_ok=True)
     checksums = {}
     for name in sorted(artifacts):
         kind, *payload = artifacts[name]
-        path = os.path.join(out_dir, name)
-        if kind == "csv":
-            header, rows = payload
-            # floats in round-trip form; no field holds a comma, quote or
-            # newline, so no field needs CSV quoting.  One %-format per tuple
-            # of value types formats a whole row.
-            lines, fmts = [",".join(header)], {}
-            for row in rows:
-                types = tuple(map(type, row))
-                if types not in fmts:
-                    fmts[types] = ",".join("%.17g" if issubclass(t, (float, np.floating))
-                                           else "%s" for t in types)
-                lines.append(fmts[types] % row)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(_strict(payload[0]), fh, indent=2, sort_keys=True,
-                          allow_nan=False)
-                fh.write("\n")
-        with open(path, "rb") as fh:
-            checksums[name] = hashlib.sha256(fh.read()).hexdigest()
+        chunks = (_csv_text(*payload) if kind == "csv" else
+                  [json.dumps(_strict(payload[0]), indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"])
+        checksums[name] = _write_text(os.path.join(out_dir, name), chunks)
     manifest = {
         "experiment": cfg.experiment,
         "config_hash": cfg.config_hash(),
@@ -529,9 +557,8 @@ def write_artifacts(cfg: ExperimentConfig, artifacts: dict, truncated: list,
         "truncated": truncated,
         "workers": _workers(cfg.threads),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(os.path.join(out_dir, "manifest.json"),
+                [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest
 
 

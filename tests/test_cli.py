@@ -3,6 +3,7 @@ import csv
 import ctypes
 import datetime
 import glob
+import hashlib
 import io
 import json
 import os
@@ -490,6 +491,29 @@ def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
         assert abs(peaks[1] - peaks[0]) < survival._CALL_BYTES, (label, peaks)
 
 
+def test_parent_memory_does_not_grow_with_quenched_rows(tmp_path, monkeypatch):
+    from hitlaw import survival
+    # in process, so the trace sees the parent's reduce and write; kernel
+    # calls of at most 100,000 bytes keep the worker's share level (the test
+    # above bounds it), so what grows is the parent's: a k row and 51
+    # values a curve.  A curve's rows, lines and file text held whole take
+    # about 24 KB, 22 MB over 900 curves; the bound allows 3 KB a curve
+    monkeypatch.setattr(survival, "_CALL_BYTES", 100_000)
+    tree = _tiny_tree(operation_budget=10**10,
+                      sweep={"n": [2], "t": {"start": 0.0, "stop": 5.0, "step": 0.1}})
+    peaks = []
+    for count in (100, 1_000):
+        cfg = build_config(dict(tree, seeds=list(range(count))))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, str(tmp_path / str(count)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "1000" / "survival_n2.csv").read_text().splitlines()) == 51_001
+    assert peaks[1] - peaks[0] < 900 * 3_000, peaks
+
+
 def test_config_hash_ignores_worker_count():
     one = build_config(_tiny_tree(threads=1))
     three = build_config(_tiny_tree(threads=3))
@@ -633,6 +657,24 @@ _GUARD_TREES = [
     dict(_CIRCLE, seeds=[1, 2], sweep={"t": [0.0, 1.0], "r": [0.2, 0.1, 0.05]}),
     _tiny_tree(experiment="singularity", trials=3, sweep={"n": [10]}),
 ]
+
+
+@pytest.mark.parametrize("tree", _GUARD_TREES, ids=[t["experiment"] for t in _GUARD_TREES])
+def test_every_manifest_checksum_is_the_sha256_of_its_file(tmp_path, monkeypatch, tree):
+    # checksums come from the bytes as they are written; at 3 rows a write
+    # every CSV here takes several writes, and the files stay the same
+    from hitlaw import experiments
+    outs = []
+    for rows in (experiments._WRITE_ROWS, 3):
+        monkeypatch.setattr(experiments, "_WRITE_ROWS", rows)
+        out = tmp_path / str(rows)
+        manifest = run_experiment(build_config(tree), str(out))
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        assert set(manifest["files"]) == set(os.listdir(out)) - {"manifest.json"}
+        for name, digest in manifest["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        outs.append({f: (out / f).read_bytes() for f in os.listdir(out)})
+    assert outs[0] == outs[1]
 
 
 def _fresh_python(code: str):

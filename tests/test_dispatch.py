@@ -1,6 +1,7 @@
 """The forked dispatcher behind ``experiments._parallel_map``: order, error
 paths, and no child process left behind on any of them."""
 
+import errno
 import mmap
 import os
 import signal
@@ -92,3 +93,22 @@ def test_one_worker_or_one_item_runs_in_this_process():
     assert _parallel_map(lambda i: os.getpid(), [0, 1, 2], 1) == [pid] * 3
     assert _parallel_map(lambda i: os.getpid(), [0], 4) == [pid]
     assert all(p != pid for p in _parallel_map(lambda i: os.getpid(), [0, 1], 2))
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_workers_before_it(monkeypatch):
+    # the second fork raises: its error reaches the caller, the first worker
+    # is killed and reaped (the fixture), and neither end of the failed
+    # worker's result pipe stays open
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "no process for the second worker")
+        return fork()
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="second worker"):
+        _parallel_map(lambda i: i, list(range(4)), 2)
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == before
