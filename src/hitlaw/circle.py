@@ -168,16 +168,13 @@ class BallTarget:
 
 
 def _bits_sequence(bits, steps: int) -> list:
-    """Normalize the noise bits to a plain list of 0/1 of length >= steps."""
+    """The first ``steps`` noise bits of a window or a sequence, as a plain
+    list of 0/1."""
     if isinstance(bits, BaseWindow):
-        arr = bits.prefix(steps)
-        if bits.proc.alphabet_size == 2:   # pinned cumulative sums draw only 0, 1
-            return arr.tolist()
-    else:
-        arr = np.asarray(bits, dtype=np.int64)
-        if arr.size < steps:
-            raise ValueError(f"need {steps} noise bits, got {arr.size}")
-        arr = arr[:steps]
+        bits = bits.prefix(steps)
+    arr = np.asarray(bits, dtype=np.int64)[:steps]
+    if arr.size < steps:
+        raise ValueError(f"need {steps} noise bits, got {arr.size}")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("noise bits must be 0 or 1")
     return arr.tolist()

@@ -195,7 +195,8 @@ def _parse(tree: dict) -> tuple:
                        rule=_check_t_grid)
         if kind == "ledger" and t_grid and t_grid[0] <= 0:
             v.append("sweep.t: ledger needs strictly positive t values")
-    jmax_factor = _section(tree, "ledger", v).get("jmax_factor", JMAX_FACTOR)
+    ledger = _section(tree, "ledger", v) if kind == "ledger" else {}
+    jmax_factor = ledger.get("jmax_factor", JMAX_FACTOR)
     # ledger_checkpoints needs jmax = jmax_factor * k to cover k, hence g <= k
     if not _is_int(jmax_factor) or jmax_factor < 1:
         v.append("ledger.jmax_factor: must be an integer >= 1")

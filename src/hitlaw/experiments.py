@@ -328,8 +328,7 @@ def _ledger_item(args, parts):
         window = sample_window(cfg.base, [seed, 0], n)
     for g, checkpoints in groups.items():
         for led in ledger_checkpoints(cfg.fiber, window, pat, g, checkpoints):
-            row = (seed, n, led.t, led.g, led.k, led.M, led.G, led.H, led.K,
-                   led.delta_sum, led.lemma_lhs, led.lemma_rhs, led.sandwich_gap)
+            row = (seed, *(getattr(led, name) for name in LEDGER_COLUMNS[1:]))
             out.append(((n, led.t, seed), row))
     return out
 

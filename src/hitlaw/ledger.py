@@ -233,30 +233,13 @@ def _sweep_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
             for (k_c, _), sup_c in zip(checkpoints, sup)]
 
 
-def _delta_terms(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
-                 checkpoints, g: int) -> list:
-    """Batched exact evaluation of the per-offset discrepancies, per
-    checkpoint (k, jmax) of :func:`_sweep_terms`.
-
-    Returns, per checkpoint, (mu, delta, both sides of the recursion bound,
-    the one-miss product, conditional mass at g, survival at g, mixing sup),
-    the last three per offset.
-    """
-    k = checkpoints[-1][0]
-    offsets = np.arange(1, k + 1, dtype=np.int64)
-    mus = _cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets)
-    terms = []
-    for (k_c, _), (d_sup, s0_at_k, *gap_terms) in zip(
-            checkpoints, _sweep_terms(fm, window, pat, checkpoints, g)):
-        mu = mus[:k_c]
-        # both sides of the recursion bound, against the one-miss product
-        delta = d_sup * mu
-        one_minus = 1.0 - mu
-        prod_term = float(np.prod(one_minus))
-        prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
-        lemma = (abs(s0_at_k - prod_term), math.fsum(delta * prefix))
-        terms.append((mu, delta, lemma, prod_term, *gap_terms))
-    return terms
+def _bound_sides(mu: np.ndarray, delta: np.ndarray, s0_at_k: float) -> tuple:
+    """Both sides of the recursion bound, |survival(k) - prod(1 - mu_i)| and
+    sum_i delta_i prod_{l<i} (1 - mu_l), and the one-miss product."""
+    one_minus = 1.0 - mu
+    prod_term = float(np.prod(one_minus))
+    prefix = np.concatenate([[1.0], np.cumprod(one_minus)[:-1]])
+    return abs(s0_at_k - prod_term), math.fsum(delta * prefix), prod_term
 
 
 def _horizon(fm: FiberMeasure, proc: BaseProcess, pat: Pattern, t: float) -> int:
@@ -276,8 +259,6 @@ def hits_sum(fm: FiberMeasure, window: BaseWindow, pat: Pattern, k: int) -> floa
     _check_compatible(fm, pat)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return 0.0
     offsets = np.arange(1, k + 1, dtype=np.int64)
     return math.fsum(_cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets))
 
@@ -322,7 +303,8 @@ def ledger_checkpoints(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
                        g: int, checkpoints) -> list:
     """The :func:`compute_ledger` result at each checkpoint (t, k, jmax),
     ascending in k and jmax, each with 1 <= g <= k <= jmax, from one sweep
-    at the last: the ledgers of one word, window and gap at several t."""
+    at the last (``_sweep_terms``) and one read of the offsets' cylinder
+    measures: the ledgers of one word, window and gap at several t."""
     kj = [(k, jmax) for _, k, jmax in checkpoints]
     for k, jmax in kj:
         if not 1 <= g <= k:
@@ -331,22 +313,21 @@ def ledger_checkpoints(fm: FiberMeasure, window: BaseWindow, pat: Pattern,
             raise ValueError("jmax must cover both k and g")
     if any(a > b for pair in zip(kj, kj[1:]) for a, b in zip(*pair)):
         raise ValueError("checkpoints must ascend in k and jmax")
-    terms = _delta_terms(fm, window, pat, kj, g)
+    offsets = np.arange(1, kj[-1][0] + 1, dtype=np.int64)
+    mus = _cylinder_measures(fm, window.prefix(offsets.size + pat.n), pat, offsets)
     ledgers = []
-    for (t, k, jmax), (mu, delta, lemma, prod_term, c_at_g, s_at_g, h_sup) in zip(
-            checkpoints, terms):
+    for (t, k, jmax), (d_sup, s0_at_k, c_at_g, s_at_g, h_sup) in zip(
+            checkpoints, _sweep_terms(fm, window, pat, kj, g)):
+        mu = mus[:k]
+        delta = d_sup * mu
+        lhs, rhs, prod_term = _bound_sides(mu, delta, s0_at_k)
         m_sum = math.fsum(mu)
         ledgers.append(ErrorLedger(
-            n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax),
-            M=m_sum,
-            G=math.fsum(mu * (1.0 - c_at_g)),
-            H=math.fsum(mu * h_sup),
-            K=math.fsum(mu * (1.0 - s_at_g)),
-            delta_sum=math.fsum(delta),
-            lemma_lhs=lemma[0],
-            lemma_rhs=lemma[1],
-            sandwich_gap=abs(prod_term - math.exp(-m_sum)),
-        ))
+            n=pat.n, t=float(t), g=int(g), k=int(k), jmax=int(jmax), M=m_sum,
+            G=math.fsum(mu * (1.0 - c_at_g)), H=math.fsum(mu * h_sup),
+            K=math.fsum(mu * (1.0 - s_at_g)), delta_sum=math.fsum(delta),
+            lemma_lhs=lhs, lemma_rhs=rhs,
+            sandwich_gap=abs(prod_term - math.exp(-m_sum))))
     return ledgers
 
 
@@ -357,11 +338,16 @@ def verify_recursion_bound(fm: FiberMeasure, proc: BaseProcess,
     Returns (lhs, rhs, passed): lhs is |survival(k) - prod(1 - mu_i)|, rhs
     the discrepancy-weighted prefix-product sum.  The recursions run to
     jmax = k, which certifies the bound (the unrolled recursion consults
-    j < k).  They run with gap 1, as every sweep has a gap; the survival
-    and return families that the bound reads do not depend on it.
+    j < k).  They run in one sweep with gap 1, as every sweep has a gap;
+    the survival and return families that the bound reads do not depend on
+    it, so lhs and rhs are ``compute_ledger(..., g=1, jmax=k)``'s lemma_lhs
+    and lemma_rhs (``_bound_sides`` evaluates both).
     """
     k = _horizon(fm, proc, pat, t)
-    (lhs, rhs) = _delta_terms(fm, window, pat, [(k, k)], 1)[0][2]
+    offsets = np.arange(1, k + 1, dtype=np.int64)
+    mu = _cylinder_measures(fm, window.prefix(k + pat.n), pat, offsets)
+    d_sup, s0_at_k = _sweep_terms(fm, window, pat, [(k, k)], 1)[0][:2]
+    lhs, rhs, _ = _bound_sides(mu, d_sup * mu, s0_at_k)
     return lhs, rhs, bool(lhs <= rhs + _TOL)
 
 

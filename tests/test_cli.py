@@ -491,6 +491,31 @@ def test_shift_worker_memory_does_not_grow_with_columns(tmp_path):
         assert abs(peaks[1] - peaks[0]) < survival._CALL_BYTES, (label, peaks)
 
 
+def test_a_shift_chunk_under_the_call_cap_is_one_kernel_call(tmp_path, monkeypatch):
+    from hitlaw import survival
+    # the kernel counts a word's table once for each run of columns that
+    # share the word and k row objects, and an annealed chunk hands every
+    # window the same two, so the chunk is one call on one table.  A k row
+    # copied for each window writes the same bytes but stacks a table a
+    # window, so each call is recorded as (tables, columns a table)
+    calls = []
+    lockstep = survival._lockstep
+
+    def counted(mats, syms, *args):
+        calls.append((len(mats), [len(s) for s in syms]))
+        return lockstep(mats, syms, *args)
+    monkeypatch.setattr(survival, "_lockstep", counted)
+    annealed = _tiny_tree(experiment="annealed_shift", seeds=[4], trials=50,
+                          sweep={"n": [3, 4], "t": [0.0, 1.0, 5.0]})
+    run_experiment(build_config(annealed), str(tmp_path / "annealed"))
+    assert calls == [(1, [50]), (1, [50])]
+    # a quenched chunk's seeds each draw their own word, one group each
+    calls.clear()
+    run_experiment(build_config(_tiny_tree(seeds=list(range(10)))),
+                   str(tmp_path / "quenched"))
+    assert calls == [(10, [1] * 10), (10, [1] * 10)]
+
+
 def test_parent_memory_does_not_grow_with_quenched_rows(tmp_path, monkeypatch):
     from hitlaw import survival
     # in process, so the trace sees the parent's reduce and write; kernel
@@ -547,6 +572,21 @@ def test_config_hash_is_the_same_once_markov_windows_are_drawn(tmp_path):
         manifest = json.loads((tmp_path / str(threads) / "manifest.json").read_text())
         hashes.append(manifest["config_hash"])
     assert hashes == [want, want]
+
+
+def test_only_a_ledger_run_reads_the_ledger_section(tmp_path):
+    # jmax_factor sizes the ledger's recursions alone, so any other kind
+    # ignores a ledger section like an unknown key: it neither checks it
+    # nor hashes it
+    circle = dict(_CIRCLE, ledger={"jmax_factor": 0})
+    assert validate(circle) == []
+    cfg = _write(tmp_path, circle)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "circle")]) == 0
+    manifest = json.loads((tmp_path / "circle" / "manifest.json").read_text())
+    assert manifest["config_hash"] == build_config(_CIRCLE).config_hash()
+    plain = build_config(_tiny_tree()).config_hash()
+    keyed = build_config(_tiny_tree(ledger={"jmax_factor": 7})).config_hash()
+    assert keyed == plain
 
 
 def _csv_writer_fmt(value):

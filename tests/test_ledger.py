@@ -142,6 +142,10 @@ def test_recursion_bound_small_sweep():
         window = sample_window(proc, [77, trial], 2 * k_target + n + 2)
         lhs, rhs, ok = verify_recursion_bound(fm, proc, window, pat, t)
         assert ok, (lhs, rhs)
+        # the ledger evaluates the same two sides at g = 1, jmax = k
+        led = compute_ledger(fm, proc, window, pat, t, g=1,
+                             jmax=ledger._horizon(fm, proc, pat, t))
+        assert (lhs, rhs) == (led.lemma_lhs, led.lemma_rhs)
 
 
 def test_recursion_bound_pair_example(coin_pair):
@@ -489,6 +493,7 @@ def test_hits_sum_and_entrance_sum_match_public_ops(coin_pair):
         - conditional_return_survival(fm, window, pat, offset=i, k_max=g).values[g]
         for i in range(1, k + 1))
     assert gsum == pytest.approx(direct_g, abs=1e-12)
+    assert hits_sum(fm, window, pat, 0) == 0.0
 
 
 def test_mean_hits_law_quick(coin_pair):
