@@ -61,12 +61,22 @@ def _check_probability_vector(w: np.ndarray, what: str) -> None:
 
 
 def stationary_distribution(q: np.ndarray) -> np.ndarray:
-    """Stationary vector of a stochastic matrix, via the unit left eigenvector."""
-    vals, vecs = np.linalg.eig(q.T)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, idx])
-    pi = pi / pi.sum()
-    return pi
+    """Stationary vector of a stochastic matrix, by GTH elimination
+    (Grassmann, Taksar and Heyman): states are folded away from the last,
+    each one's mass handed to the rest through its off-diagonal row sum
+    rather than through 1 - q[k, k], then the vector is unfolded from state
+    0 and normalised.  No step subtracts, so on the strictly positive chains
+    that ``_check_stochastic`` admits the result is exact to rounding; the
+    symmetric two-state chain gives [0.5, 0.5] exactly.  Only elementwise
+    products and sums are taken, so no BLAS or LAPACK code is paged in."""
+    a = np.array(q, dtype=float)
+    for k in range(a.shape[0] - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += a[:k, k, None] * a[None, k, :k]
+    pi = np.ones(a.shape[0])
+    for k in range(1, a.shape[0]):
+        pi[k] = (pi[:k] * a[:k, k]).sum()
+    return pi / pi.sum()
 
 
 @dataclass(frozen=True)

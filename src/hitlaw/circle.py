@@ -38,15 +38,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .base_process import BaseWindow, make_rng
 from .errors import PrecisionBudgetError
 from .stats import _check_t_grid, _rescaled_ks, ks_to_exponential
+
+if TYPE_CHECKING:   # a run never loads fractions; the exact checks import it
+    from fractions import Fraction
 
 _GUARD_BITS = 64
 
@@ -101,6 +103,7 @@ class CirclePoint:
         return self.numerator / self.denominator
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.numerator, self.denominator)
 
 
@@ -122,6 +125,7 @@ def _uniform_numerators(rng: np.random.Generator, precision_bits: int,
 
 def circle_distance(point: CirclePoint, y) -> Fraction:
     """Exact circle distance between a point and a rational/float center."""
+    from fractions import Fraction
     d = abs(point.as_fraction() - Fraction(y)) % 1
     return min(d, 1 - d)
 
@@ -200,12 +204,15 @@ def random_orbit(rds: CircleRDS, bits, x0: CirclePoint, steps: int) -> list:
 def _ball_arc(target: BallTarget, denominator: int):
     """The numerators strictly inside the open ball, as one arc lo, lo + 1,
     ..., lo + span (mod denominator): ``(lo, span)`` with 0 <= lo <
-    denominator, or None when the ball holds no numerator.  Exact via
-    rational arithmetic."""
-    c = Fraction(target.center)
-    rho = Fraction(target.radius)
-    lo = math.floor((c - rho) * denominator) + 1     # smallest num strictly inside
-    hi = math.ceil((c + rho) * denominator) - 1      # largest num strictly inside
+    denominator, or None when the ball holds no numerator.  Exact in
+    integers: the center a / b and the radius p / q are the floats' own
+    dyadic ratios, so lo and hi are one floor and one ceiling division
+    each, the values ``Fraction`` arithmetic gives."""
+    a, b = target.center.as_integer_ratio()
+    p, q = target.radius.as_integer_ratio()
+    # c - rho = (a q - p b) / (b q), and c + rho = (a q + p b) / (b q)
+    lo = (a * q - p * b) * denominator // (b * q) + 1       # smallest num strictly inside
+    hi = -(-(a * q + p * b) * denominator // (b * q)) - 1   # largest num strictly inside
     if lo > hi:
         return None
     return lo % denominator, hi - lo
@@ -234,26 +241,27 @@ def _scan_to_ball(nums: list, den: int, bits: list, muls: tuple, arc,
     # aligned with window: block-start numerators, trial ids, and not yet hit
     exact, ids, alive = nums, np.arange(len(nums)), np.ones(len(nums), dtype=bool)
     left = len(nums)
-    window = np.array([(n >> shift) << pad for n in exact], dtype=np.uint64)
+    window = np.array([n >> shift for n in exact], dtype=np.uint64) << pad
     prod = 1
     for k in range(1, cap + 1):
         m = muls[bits[k - 1]]
         if prod > 1 and prod * m > _BLOCK_PRODUCT:
             exact = [(n * prod) & mask for n in compress(exact, alive.tolist())]
-            window = np.array([(n >> shift) << pad for n in exact], dtype=np.uint64)
+            window = np.array([n >> shift for n in exact], dtype=np.uint64) << pad
             ids, alive = ids[alive], np.ones(len(exact), dtype=bool)
             prod = 1
         prod *= m
         window *= factors[bits[k - 1]]
-        d = prod * ((1 << shift) - 1)
-        meet = -((d - lo) >> shift)
+        # d = prod (u - 1), so (x - d) >> shift is ((x + prod) >> shift) - prod
+        lo_prod = lo + prod
+        meet = -((-lo_prod) >> shift) - prod
         at = ((window - ((meet & top) << pad))
               <= (min(far - meet, top) << pad)).nonzero()[0]
         if at.size:
             at = at[alive[at]]             # dead trials stay until block end
         if not at.size:
             continue
-        sure_len = ((lo + span - d) >> shift) - sure
+        sure_len = ((lo_prod + span) >> shift) - prod - sure
         if sure_len >= 0:
             inside = (window[at] - sure_at) <= (sure_len << pad)
             hits, straddles = at[inside].tolist(), at[~inside].tolist()
@@ -309,7 +317,8 @@ def quenched_law_statistic(rds: CircleRDS, bits, y: float, r: float, t_grid,
     censored = hits.count(None)
     taus = np.array([k_max + 1 if hit is None else hit for hit in hits],
                     dtype=np.int64)
-    survival = np.array([(taus > k).mean() for k in ks])
+    # the fraction of taus > k, as (taus > k).mean() divides it
+    survival = (trials - np.sort(taus).searchsorted(ks, "right")) / trials
     delta_r = ks_to_exponential(survival, t)
     return CircleLawResult(radius=r, t_grid=t, k_values=ks, survival=survival,
                            delta_r=delta_r, trials=trials, censored_count=censored)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .config import EXPERIMENT_KINDS, _parse, load_tree
 
@@ -68,6 +67,7 @@ def main(argv=None) -> int:
         out_dir = args.out or cfg.output_dir or "out"
         manifest = run_experiment(cfg, out_dir)
     except Exception:
+        import traceback   # loaded on the error path only
         traceback.print_exc()
         return 3
     print(json.dumps({"output_dir": out_dir,

@@ -24,8 +24,6 @@ import math
 import os
 import pickle
 import select
-import signal
-import traceback
 
 import numpy as np
 
@@ -89,6 +87,7 @@ def _serve(fn, items, token, out):
             try:
                 msg = pickle.dumps((i, True, fn(items[i])), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
+                import traceback   # loaded on the error path only
                 exc.add_note("".join(traceback.format_exception(exc)))
                 msg = pickle.dumps((i, False, exc), pickle.HIGHEST_PROTOCOL)
             msg = memoryview(len(msg).to_bytes(8, "little") + msg)
@@ -151,6 +150,7 @@ def _parallel_map(fn, items, threads: int):
         return [results[i] for i in range(len(items))]
     finally:
         for pid, _ in workers.values():
+            import signal   # only a failed map leaves a worker to kill
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fd in (*workers, *token):

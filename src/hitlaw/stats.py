@@ -78,7 +78,10 @@ def trend_report(values, xs=None) -> TrendReport:
 
     The slope is a least-squares fit of log(values) against ``xs``
     (default: the index), with values floored at 1e-300 so exact zeros do
-    not poison the fit.  Needs at least 3 points.
+    not poison the fit.  Needs at least 3 points.  It is taken in closed
+    form, sum((x - mean x) (y - mean y)) / sum((x - mean x)**2), with every
+    sum a correctly rounded ``math.fsum``, so it makes no LAPACK call and
+    its bits do not depend on the CPU kernel OpenBLAS picks.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 3:
@@ -87,8 +90,13 @@ def trend_report(values, xs=None) -> TrendReport:
     if x.shape != v.shape:
         raise ValueError("xs and values lengths differ")
     noninc = bool(np.all(np.diff(v) <= 0.0))
-    logs = np.log(np.maximum(v, 1e-300))
-    slope = float(np.polyfit(x, logs, 1)[0])
+    points, logs = x.tolist(), np.log(np.maximum(v, 1e-300)).tolist()
+    x_mean, y_mean = math.fsum(points) / v.size, math.fsum(logs) / v.size
+    dx = [xi - x_mean for xi in points]
+    sxx = math.fsum(d * d for d in dx)
+    # no slope when every x is the same (adjacent radii can share a log10)
+    slope = (math.fsum(d * (y - y_mean) for d, y in zip(dx, logs)) / sxx
+             if sxx else math.nan)
     return TrendReport(xs=x, values=v, nonincreasing=noninc, log_slope=slope)
 
 

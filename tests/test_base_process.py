@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitlaw.base_process import (_DRAW_BLOCK, BaseProcess, _WindowBuffer,
-                                 make_rng, sample_window)
+                                 make_rng, sample_window, stationary_distribution)
 
 
 def test_bernoulli_window_shape_and_range():
@@ -235,3 +235,40 @@ def test_markov_empirical_frequency_near_stationary():
     lam = 0.7   # second eigenvalue of the chain
     sigma = math.sqrt(pi0 * (1 - pi0) * (1 + lam) / (1 - lam) / n)
     assert abs(freq0 - pi0) < 3 * sigma
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("np.linalg.eig called")
+
+
+def test_a_markov_base_is_built_without_lapack(monkeypatch):
+    # the stationary vector is a GTH elimination, so the parent of a Markov
+    # run pages in no LAPACK code; the symmetric chain's vector is exact
+    monkeypatch.setattr(np.linalg, "eig", _no_lapack)
+    proc = BaseProcess.markov([[0.6, 0.4], [0.4, 0.6]])
+    assert proc.stationary.tolist() == [0.5, 0.5]
+    assert BaseProcess.markov([[0.7, 0.3], [0.4, 0.6]]).stationary == \
+        pytest.approx([4 / 7, 3 / 7], abs=1e-15)
+
+
+def _eig_stationary(q: np.ndarray) -> np.ndarray:
+    """The unit left eigenvector of ``q``, normalised: the formula the GTH
+    elimination replaced, kept as its oracle."""
+    vals, vecs = np.linalg.eig(q.T)
+    pi = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+    return pi / pi.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda s: st.lists(
+    st.lists(st.floats(1e-3, 1.0), min_size=s, max_size=s), min_size=s, max_size=s)))
+def test_gth_stationary_vector_is_invariant_and_matches_eig(rows):
+    q = np.array(rows)
+    q /= q.sum(axis=1, keepdims=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eig", _no_lapack)
+        pi = stationary_distribution(q)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(pi > 0)
+    assert np.max(np.abs(pi @ q - pi)) <= 1e-12
+    assert np.max(np.abs(pi - _eig_stationary(q))) <= 1e-12

@@ -240,3 +240,39 @@ def test_block_scan_matches_one_step_scan(muls, width, seed, center, radius,
         mp.setattr(circle, "_BLOCK_PRODUCT", _SMALL_BLOCK)
         assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
     assert circle._scan_to_ball(nums, den, bits, muls, arc, cap) == want
+
+
+def _fraction_arc(target, denominator):
+    """The arc as ``Fraction`` arithmetic gave it, the integer formula's
+    oracle."""
+    c, rho = Fraction(target.center), Fraction(target.radius)
+    lo = math.floor((c - rho) * denominator) + 1
+    hi = math.ceil((c + rho) * denominator) - 1
+    return None if lo > hi else (lo % denominator, hi - lo)
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _no_fraction(*args):
+    raise AssertionError("Fraction built")
+
+
+@settings(max_examples=400, deadline=None)
+@given(center=st.floats(0.0, 1.0, exclude_max=True)
+       | st.sampled_from([0.0, _BELOW_ONE]),
+       radius=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+       | st.sampled_from([0.1, 0.01, 1e-3]),
+       bits=st.integers(1, 5000))
+@example(center=0.0, radius=0.1, bits=1)
+@example(center=_BELOW_ONE, radius=1e-3, bits=5000)
+@example(center=0.5, radius=0.25, bits=2)      # both edges on numerators
+@example(center=0.61803, radius=0.01, bits=5000)
+def test_ball_arc_is_the_fraction_formula(center, radius, bits):
+    # in integers: a run's parent never loads fractions for it
+    target = BallTarget(center, radius)
+    want = _fraction_arc(target, 1 << bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circle, "Fraction", _no_fraction, raising=False)
+        assert circle._ball_arc(target, 1 << bits) == want
+

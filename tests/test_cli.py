@@ -760,6 +760,84 @@ def test_importing_the_program_leaves_numpy_random_unloaded():
     assert got == []
 
 
+def test_importing_the_program_leaves_the_error_path_and_exact_modules_unloaded():
+    # traceback and signal are imported where an error is reported or a
+    # worker killed, and fractions (with decimal) only by the exact circle
+    # checks, so a run's parent holds none of them
+    got = _fresh_python("""if True:
+        import json, sys
+        import hitlaw.cli, hitlaw.experiments
+        print(json.dumps([m for m in ("fractions", "decimal", "signal",
+                                      "traceback")
+                          if m in sys.modules]))
+        """)
+    assert got == []
+
+
+def test_a_run_of_each_kind_never_imports_fractions(tmp_path):
+    # the circle ball's arc is integer arithmetic, so even a circle run
+    # leaves fractions and decimal unloaded
+    got = _fresh_python(f"""if True:
+        import json, sys
+        from hitlaw.config import build_config
+        from hitlaw.experiments import run_experiment
+        loaded = []
+        for i, tree in enumerate({_GUARD_TREES!r}):
+            run_experiment(build_config(tree), {str(tmp_path)!r} + f"/{{i}}")
+            loaded += [(tree["experiment"], m) for m in ("fractions", "decimal")
+                       if m in sys.modules]
+        print(json.dumps(loaded))
+        """)
+    assert got == []
+    assert len(os.listdir(tmp_path)) == len(EXPERIMENT_KINDS)
+
+
+def test_an_internal_error_exits_3_with_its_traceback(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out_dir):
+        raise RuntimeError("the run broke")
+    monkeypatch.setattr("hitlaw.experiments.run_experiment", broken)
+    assert main(["run", "--config", _write(tmp_path, _tiny_tree()),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: the run broke" in err
+
+
+def _has_avx512():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return "avx512f" in fh.read().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_avx512(),
+                    reason="OpenBLAS's SkylakeX kernel needs AVX-512")
+def test_the_blas_kernel_changes_no_byte(tmp_path):
+    # OPENBLAS_CORETYPE forces the kernel that numpy's OpenBLAS runs.  The
+    # shipped quenched config's trend slope, and the circle config's (from
+    # its medians), once came from a LAPACK fit whose last digit moved
+    # between Haswell (AVX2) and SkylakeX (AVX-512)
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(hitlaw.__file__))
+    circle_medians = "[0.10452030010562399, 0.016855262157806486, 0.007806219515457735]"
+    outs = []
+    for core in ("Haswell", "SkylakeX"):
+        out = tmp_path / core
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        subprocess.run([sys.executable, "-m", "hitlaw.cli", "run", "--config",
+                        os.path.join(here, "configs", "quenched_shift.yaml"),
+                        "--threads", "1", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        slope = subprocess.run(
+            [sys.executable, "-c", "from hitlaw.stats import trend_report; "
+             f"print(repr(trend_report({circle_medians}, xs=[1, 2, 3]).log_slope))"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        outs.append((slope, {f: (out / f).read_bytes() for f in os.listdir(out)}))
+    assert outs[0] == outs[1]
+
+
 def test_the_runner_binds_each_layer_function_it_calls_at_import():
     # perfbench/spans.py wraps the layer functions it finds in this
     # namespace before a config is built; a name imported later, inside a

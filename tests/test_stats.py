@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitlaw.base_process import sample_window
 from hitlaw.circle import CircleRDS, quenched_law_statistic
@@ -64,6 +66,27 @@ def test_trend_json_roundtrip():
     d = trend_report([0.3, 0.2, 0.1], xs=[6, 10, 14]).to_json_dict()
     assert d["nonincreasing"] is True
     assert len(d["values"]) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-400, 400), st.floats(1e-300, 1.0)),
+                min_size=3, max_size=12, unique_by=lambda point: point[0]))
+def test_trend_slope_is_the_least_squares_fit(points):
+    # np.polyfit, the LAPACK fit the closed form replaced, is its oracle;
+    # the xs are word lengths or -log10 radii, here in steps of 1/8
+    xs, values = zip(*sorted((x / 8, v) for x, v in points))
+    want = np.polyfit(xs, np.log(values), 1)[0]
+    got = trend_report(values, xs=xs).log_slope
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_trend_over_one_x_has_no_slope():
+    # strictly decreasing radii can share one -log10(r): r = 0.1 and the two
+    # floats below it all give 1.0, where a fit has no slope
+    rs = [0.1, math.nextafter(0.1, 0.0), math.nextafter(math.nextafter(0.1, 0.0), 0.0)]
+    rep = trend_report([0.3, 0.2, 0.1], xs=[-math.log10(r) for r in rs])
+    assert rep.nonincreasing and math.isnan(rep.log_slope)
+    assert rep.to_json_dict()["xs"] == [1.0, 1.0, 1.0]
 
 
 def test_dkw_band_value():
