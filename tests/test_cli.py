@@ -838,6 +838,20 @@ def test_the_blas_kernel_changes_no_byte(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_peak_rss_script_names_the_process_that_sets_the_peak(tmp_path):
+    # scripts/peak_rss.py runs the CLI in its own process on two workers and
+    # reports both peaks, in MiB, where the benchmark reports their maximum
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(here, "scripts", "peak_rss.py"),
+         _write(tmp_path, _tiny_tree()), "--threads", "2"],
+        check=True, capture_output=True, text=True).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["exit"] == 0 and got["parent_mib"] > 0 and got["largest_worker_mib"] > 0
+    assert got["peak"] == ("parent" if got["parent_mib"] >= got["largest_worker_mib"]
+                           else "worker")
+
+
 def test_the_runner_binds_each_layer_function_it_calls_at_import():
     # perfbench/spans.py wraps the layer functions it finds in this
     # namespace before a config is built; a name imported later, inside a

@@ -188,3 +188,17 @@ def test_no_module_reads_another_modules_private_constant():
                   and isinstance(node.value, ast.Name) and node.value.id in modules):
                 reads.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
     assert reads == []
+
+
+def test_no_module_calls_lapack():
+    # numpy's LAPACK code is paged in by its first call, about 1.1 MiB in
+    # the process that makes it, and its rounding follows the CPU kernel
+    # OpenBLAS picks; the Markov stationary vector and the trend slope
+    # need none of it
+    calls = [f"{name}:{node.lineno} {node.attr}"
+             for name, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("linalg", "polyfit")]
+    imports = [f"{name}:{node.lineno} {node.module}"
+               for name, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")]
+    assert calls == imports == []
